@@ -74,9 +74,8 @@ def estimate_subscribers(
     day_list = sorted(days)
     if min_days is None:
         min_days = max(4, (len(day_list) * 2) // 5)
-    naive_64s = obstore.array_size(
-        observations.truncated(64).union_over(day_list)
-    )
+    sixty_fours = observations.truncated(64)
+    naive_64s = obstore.array_size(sixty_fours.union_over(day_list))
     report = longest_stable_prefixes(
         observations, n=n, lengths=lengths, min_days=min_days
     )
@@ -114,8 +113,7 @@ def estimate_subscribers(
             count for length, count in histogram.items() if length <= 64
         )
         daily_64 = [
-            obstore.array_size(observations.truncated(64).array(day))
-            for day in day_list
+            obstore.array_size(sixty_fours.array(day)) for day in day_list
         ]
         typical_daily = sorted(daily_64)[len(daily_64) // 2] if daily_64 else 0
         estimate = max(boundary_count, typical_daily)

@@ -49,7 +49,7 @@ from repro.core.mra import (
 from repro.data.store import ObservationStore
 from repro.net import addr
 from repro.net.prefix import check_length
-from repro.runtime.pool import PoolConfig, RunReport, run_supervised
+from repro.runtime.pool import PoolConfig, RunReport, resolve_jobs, run_supervised
 from repro.trie.aguri import density_threshold, widen_dense_prefixes
 
 #: Counts are array sizes, far below 2**62; thresholds above this cap can
@@ -390,7 +390,6 @@ def sweep_spatial(
     empty profiles.
     """
     from repro.core.density import TABLE3_CLASSES
-    from repro.core.sweep import _resolve_jobs
 
     if classes is None:
         classes = TABLE3_CLASSES
@@ -400,7 +399,7 @@ def sweep_spatial(
         day_list = sorted({int(day) for day in days})
     if not day_list:
         return []
-    workers = min(_resolve_jobs(jobs), len(day_list))
+    workers = min(resolve_jobs(jobs), len(day_list))
     if workers > 1:
         batches = [list(batch) for batch in np.array_split(day_list, workers * 4)]
         tasks = [

@@ -246,11 +246,6 @@ def _worker_sweep(
     return key, _sweep_chunk(_WORKER_STORES[key], ref_days, window_before, window_after)
 
 
-def _resolve_jobs(jobs: Optional[int]) -> int:
-    """None/1 -> serial; 0 -> all CPUs; N -> N workers."""
-    return resolve_jobs(jobs)
-
-
 def _sweep_stores(
     stores: Dict[int, ObservationStore],
     ref_days: Sequence[int],
@@ -310,7 +305,7 @@ def _sweep_stores(
         if report_sink is not None:
             report_sink.append(RunReport(label="sweep", tasks=0))
         return gaps
-    workers = min(_resolve_jobs(jobs), len(tasks))
+    workers = min(resolve_jobs(jobs), len(tasks))
 
     def on_result(
         index: int, value: Tuple[int, List[Tuple[int, np.ndarray]]]

@@ -51,6 +51,9 @@ CACHE_DTYPE = np.dtype([("hi", "<u8"), ("lo", "<u8"), ("hits", "<u8")])
 
 _DIGEST_CHARS = 24
 
+#: One parsed day: ``(day, hi, lo, hits)``, sorted and deduplicated.
+DayColumns = Tuple[Optional[int], np.ndarray, np.ndarray, np.ndarray]
+
 
 def content_hash(path: str) -> str:
     """SHA-256 hex digest of a file's bytes (the cache key)."""
@@ -92,10 +95,7 @@ def _atomic_save_array(path: str, array: np.ndarray) -> None:
 
 def _try_load(
     npy_path: str, meta_path: str, digest: str
-) -> Tuple[
-    Optional[Tuple[Optional[int], np.ndarray, np.ndarray, np.ndarray]],
-    Optional[str],
-]:
+) -> Tuple[Optional[DayColumns], Optional[str]]:
     """Load a cache entry: ``(payload, corrupt_reason)``.
 
     ``(payload, None)`` is a hit.  ``(None, None)`` is a clean miss
@@ -177,12 +177,28 @@ def store_day(
     return npy_path
 
 
+def lookup(
+    path: str, cache_dir: str
+) -> Tuple[str, Optional[DayColumns], Optional[str]]:
+    """Probe the cache for one day log: ``(digest, payload, corrupt_reason)``.
+
+    Hashes the file once and verifies its entry (see :func:`_try_load`
+    for what ``payload`` and ``corrupt_reason`` mean).  A hit's columns
+    are views of the memory-mapped entry.  Raises :class:`OSError` when
+    the source file cannot be read.
+    """
+    digest = content_hash(path)
+    npy_path, meta_path = cache_paths(cache_dir, digest)
+    payload, corrupt_reason = _try_load(npy_path, meta_path, digest)
+    return digest, payload, corrupt_reason
+
+
 def load_day(
     path: str,
     cache_dir: str,
     errors: str = ERRORS_STRICT,
     report: Optional[QuarantineReport] = None,
-) -> Tuple[Optional[int], np.ndarray, np.ndarray, np.ndarray]:
+) -> DayColumns:
     """Load one day log through the cache.
 
     On a hit, the columns come straight from the memory-mapped cache
@@ -198,16 +214,33 @@ def load_day(
     cache, so a later strict load of the same file can never be served
     silently-cleaned columns from a cache hit.
     """
+    check_errors_mode(errors)
+    digest, cached, corrupt_reason = lookup(path, cache_dir)
+    if cached is not None:
+        return cached
+    return _parse_on_miss(path, cache_dir, digest, corrupt_reason, errors, report)
+
+
+def _parse_on_miss(
+    path: str,
+    cache_dir: str,
+    digest: str,
+    corrupt_reason: Optional[str],
+    errors: str,
+    report: Optional[QuarantineReport],
+) -> DayColumns:
+    """The miss half of :func:`load_day`: parse ``path``, write it back.
+
+    ``digest`` and ``corrupt_reason`` come from a prior :func:`lookup`
+    of the same file, so a caller that probed already does not hash the
+    file twice.
+    """
     quarantine = check_errors_mode(errors) == ERRORS_QUARANTINE
     if quarantine and report is None:
         report = QuarantineReport()
-    digest = content_hash(path)
-    npy_path, meta_path = cache_paths(cache_dir, digest)
-    cached, corrupt_reason = _try_load(npy_path, meta_path, digest)
-    if cached is not None:
-        return cached
     if quarantine and corrupt_reason is not None:
         assert report is not None
+        npy_path, _meta_path = cache_paths(cache_dir, digest)
         report.info(npy_path, "cache-rebuilt", corrupt_reason)
     faults_before = (
         report.line_faults.get(path, 0) if quarantine and report is not None else 0

@@ -26,9 +26,10 @@ numpy passes over the raw bytes, address bytes are gathered into a
 matrix and parsed by :func:`repro.net.batchparse.parse_matrix`, and hit
 counts are evaluated with a handful of vectorized digit passes.  Only
 exotic rows (embedded IPv4, >19-digit counts, …) fall back to scalar
-code.  :func:`load_store` can additionally fan days out across worker
-processes (days are independent) and reuse the binary columnar cache in
-:mod:`repro.data.daycache`.
+code.  :func:`load_store` can additionally reuse the binary columnar
+cache in :mod:`repro.data.daycache`, serving hits in the calling
+process, and fan the days that still need parsing out across worker
+processes (days are independent).
 
 Error handling is two-mode.  ``errors="strict"`` (the default) raises
 :class:`LogFormatError` on the first malformed line — bit-for-bit the
@@ -50,7 +51,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.data.store import DailyObservations, ObservationStore
+from repro.data.store import (
+    DailyObservations,
+    ObservationStore,
+    strictly_increasing,
+)
 from repro.net import addr, batchparse
 from repro.runtime.pool import PoolConfig, RunReport, supervised_map
 from repro.runtime.quarantine import (
@@ -449,12 +454,7 @@ def _parse_log_bytes(
     # --- merge duplicates, sort ---
     # Logs written by save_store are already sorted and unique; detect
     # that with a few vectorized passes and skip the O(n log n) sort.
-    if hi.shape[0] > 1:
-        increasing = (hi[1:] > hi[:-1]) | ((hi[1:] == hi[:-1]) & (lo[1:] > lo[:-1]))
-        already_sorted = bool(increasing.all())
-    else:
-        already_sorted = True
-    if already_sorted:
+    if strictly_increasing(hi, lo):
         return day, hi, lo, hits
 
     from repro.data import store as obstore
@@ -487,8 +487,10 @@ def read_daily_log_arrays(
     return _parse_log_bytes(data, path, errors=errors, report=report)
 
 
-#: A load_store worker task: (path, cache_dir, errors).
-_DayTask = Tuple[str, Optional[str], str]
+#: A load_store worker task: (path, cache_dir, errors, probe).  ``probe``
+#: is the parent's ``(digest, corrupt_reason)`` for a day-cache miss, or
+#: None when the parent did not probe (no cache, or the probe failed).
+_DayTask = Tuple[str, Optional[str], str, Optional[Tuple[str, Optional[str]]]]
 
 #: A worker's answer: (payload or None for a lost day, delta report).
 _DayResult = Tuple[
@@ -508,16 +510,24 @@ def _load_day_task(task: _DayTask) -> _DayResult:
     threshold breach must abort the *run*, not look like a worker fault
     the supervisor would pointlessly retry.
     """
-    path, cache_dir, errors = task
+    path, cache_dir, errors, probe = task
     quarantine = errors == ERRORS_QUARANTINE
     delta = QuarantineReport() if quarantine else None
     try:
-        if cache_dir is not None:
+        if cache_dir is None:
+            payload = read_daily_log_arrays(path, errors=errors, report=delta)
+        else:
             from repro.data import daycache
 
-            payload = daycache.load_day(path, cache_dir, errors=errors, report=delta)
-        else:
-            payload = read_daily_log_arrays(path, errors=errors, report=delta)
+            if probe is None:
+                payload = daycache.load_day(
+                    path, cache_dir, errors=errors, report=delta
+                )
+            else:
+                digest, corrupt_reason = probe
+                payload = daycache._parse_on_miss(
+                    path, cache_dir, digest, corrupt_reason, errors, delta
+                )
     except OSError as exc:
         if not quarantine:
             raise
@@ -525,6 +535,42 @@ def _load_day_task(task: _DayTask) -> _DayResult:
         delta.day_fault(path, "unreadable-file", str(exc))
         return None, delta
     return payload, delta
+
+
+def _probe_cache(
+    paths: Sequence[str], cache_dir: Optional[str], errors: str
+) -> Tuple[Dict[int, _DayResult], Dict[int, _DayTask]]:
+    """Serve day-cache hits in the parent; plan pool tasks for the rest.
+
+    Returns ``(served, pending)``, both keyed by path index: the results
+    of the hits, and the tasks that load every other day.  A hit's
+    columns are copied out of the memory-mapped entry here, so no cache
+    mapping is alive when the pool forks.  A miss or corrupt entry
+    carries its digest to the worker, which then need not hash the file
+    again; a probe that raises :class:`OSError` sends the day to the
+    pool unprobed, where the worker meets the same error and handles it
+    as it always has.
+    """
+    from repro.data import daycache
+
+    served: Dict[int, _DayResult] = {}
+    pending: Dict[int, _DayTask] = {}
+    for index, path in enumerate(paths):
+        probe: Optional[Tuple[str, Optional[str]]] = None
+        if cache_dir is not None:
+            try:
+                digest, cached, corrupt_reason = daycache.lookup(path, cache_dir)
+            except OSError:
+                pass  # the worker meets the same error and handles it
+            else:
+                if cached is not None:
+                    day, hi, lo, hits = cached
+                    columns = (day, np.array(hi), np.array(lo), np.array(hits))
+                    served[index] = (columns, None)
+                    continue
+                probe = (digest, corrupt_reason)
+        pending[index] = (path, cache_dir, errors, probe)
+    return served, pending
 
 
 def save_store(store: ObservationStore, directory: str, prefix: str = "log") -> List[str]:
@@ -566,7 +612,9 @@ def load_store(
             (crashed/wedged workers are retried, then re-run serially).
         cache_dir: when given, each file's parsed columns are persisted
             in (and reused from) a binary columnar cache keyed by the
-            file's content hash — see :mod:`repro.data.daycache`.
+            file's content hash — see :mod:`repro.data.daycache`.  Hits
+            are served in this process; only misses and corrupt entries
+            become pool tasks.
         errors: ``"strict"`` (default) raises on the first malformed
             line or unreadable file; ``"quarantine"`` diverts faults
             into ``report`` — malformed lines are dropped, unreadable
@@ -578,7 +626,8 @@ def load_store(
             :class:`repro.runtime.quarantine.QuarantineThresholdError`
             when exceeded.
         report_sink: when given, receives the pool's
-            :class:`repro.runtime.pool.RunReport`.
+            :class:`repro.runtime.pool.RunReport` — with ``tasks=0``
+            when every day was a cache hit.
     """
     quarantine = check_errors_mode(errors) == ERRORS_QUARANTINE
     if quarantine and report is None:
@@ -588,14 +637,20 @@ def load_store(
     path_list = [os.fspath(p) for p in paths]
     if jobs is not None and jobs <= 0:
         jobs = os.cpu_count() or 1
-    tasks: List[_DayTask] = [(p, cache_dir, errors) for p in path_list]
+    outcomes, pending = _probe_cache(path_list, cache_dir, errors)
     config = PoolConfig(label="load-store")
-    outcomes = supervised_map(
-        _load_day_task, tasks, jobs=jobs, config=config, report_sink=report_sink
+    pooled = supervised_map(
+        _load_day_task,
+        list(pending.values()),
+        jobs=jobs,
+        config=config,
+        report_sink=report_sink,
     )
+    outcomes.update(zip(pending, pooled))
     store = ObservationStore()
     next_day = 0
-    for path, (payload, delta) in zip(path_list, outcomes):
+    for index, path in enumerate(path_list):
+        payload, delta = outcomes.pop(index)
         if quarantine and delta is not None:
             assert report is not None
             report.merge(delta)

@@ -116,13 +116,19 @@ def union_many(arrays: Sequence[np.ndarray]) -> np.ndarray:
     return np.unique(np.concatenate(arrays))
 
 
-def truncate_array(array: np.ndarray, prefix_len: int) -> np.ndarray:
-    """Truncate every address to ``prefix_len`` bits; dedupe and sort.
+def strictly_increasing(hi: np.ndarray, lo: np.ndarray) -> bool:
+    """True when the ``(hi, lo)`` pairs are sorted and distinct (canonical).
 
-    Truncating to /64 reduces the problem to distinct ``hi`` values with
-    ``lo`` zero — the "/64 prefixes" the paper tracks alongside full
-    addresses.
+    One vectorized pass: each pair must exceed its predecessor.
     """
+    if hi.shape[0] < 2:
+        return True
+    greater = (hi[1:] > hi[:-1]) | ((hi[1:] == hi[:-1]) & (lo[1:] > lo[:-1]))
+    return bool(greater.all())
+
+
+def _masked(array: np.ndarray, prefix_len: int) -> np.ndarray:
+    """A copy of ``array`` with every address cut to ``prefix_len`` bits."""
     if not 0 <= prefix_len <= 128:
         raise ValueError(f"prefix length out of range: {prefix_len}")
     result = array.copy()
@@ -140,7 +146,37 @@ def truncate_array(array: np.ndarray, prefix_len: int) -> np.ndarray:
         else:
             lo_mask = np.uint64(((1 << low_bits) - 1) << (64 - low_bits))
         result["lo"] = result["lo"] & lo_mask
-    return np.unique(result)
+    return result
+
+
+def _truncate_canonical(array: np.ndarray, prefix_len: int) -> np.ndarray:
+    """:func:`truncate_array` for a canonical (sorted, distinct) array, in O(n).
+
+    Prefix masking is monotone, so the masked array is still sorted and
+    equal prefixes sit next to each other: keeping each element that
+    differs from its predecessor dedupes it without a sort.
+    """
+    masked = _masked(array, prefix_len)
+    hi, lo = masked["hi"], masked["lo"]
+    keep = np.ones(hi.shape[0], dtype=bool)
+    keep[1:] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])
+    return masked[keep]
+
+
+def truncate_array(array: np.ndarray, prefix_len: int) -> np.ndarray:
+    """Truncate every address to ``prefix_len`` bits; dedupe and sort.
+
+    Truncating to /64 reduces the problem to distinct ``hi`` values with
+    ``lo`` zero — the "/64 prefixes" the paper tracks alongside full
+    addresses.  Any input is accepted; one that is already canonical
+    skips the sort.
+    """
+    canonical = array.dtype == ADDRESS_DTYPE and strictly_increasing(
+        array["hi"], array["lo"]
+    )
+    if canonical:
+        return _truncate_canonical(array, prefix_len)
+    return np.unique(_masked(array, prefix_len))
 
 
 class DailyObservations:
@@ -233,9 +269,13 @@ class DailyObservations:
         return from_array(self.addresses)
 
     def truncated(self, prefix_len: int) -> "DailyObservations":
-        """This day's observations reduced to distinct /prefix_len networks."""
+        """This day's observations reduced to distinct /prefix_len networks.
+
+        O(n): the day's addresses are canonical by construction, so no
+        sort is needed (see :func:`_truncate_canonical`).
+        """
         return DailyObservations.from_array(
-            self.day, truncate_array(self.addresses, prefix_len)
+            self.day, _truncate_canonical(self.addresses, prefix_len)
         )
 
 

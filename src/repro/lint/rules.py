@@ -598,8 +598,10 @@ workers corrupt each other's positions.
 Historical bug: the engines deliberately pass worker inputs through a
 module-global store (_WORKER_STORES) set immediately before the pool is
 created, precisely so nothing else — handles, locks, executors — is
-alive across the fork; the mmap-backed day cache loads happen *inside*
-workers for the same reason.  This rule pins that discipline in place.
+alive across the fork; load_store serves day-cache hits in the parent
+but copies their columns out of the memory map before the miss pool
+forks, and misses load inside workers, for the same reason.  This rule
+pins that discipline in place.
 
 Fix: open handles inside the worker function (after the fork), never in
 the fan-out function before the pool; replace threads with processes or

@@ -10,9 +10,15 @@ from repro.core.changes import (
     detect_renumbering,
     turnover_series,
 )
-from repro.core.estimate import estimate_subscribers, estimation_error
+from repro.core.estimate import (
+    SubscriberEstimate,
+    estimate_subscribers,
+    estimation_error,
+)
 from repro.data.store import ObservationStore
 from repro.net import addr
+from repro.sim.registry import AddressRegistry
+from repro.sim.scenarios import eu_isp, single_network_store
 
 
 def p(text: str) -> int:
@@ -141,6 +147,27 @@ class TestEstimation:
         assert result.method == "stable-addresses"
         assert result.naive_64s == 1
         assert estimation_error(result.estimate, 30) < 0.1
+
+    def test_boundary_below_64_truncates_once(self, monkeypatch):
+        # Rotating pseudorandom network ids under a /48: the plan boundary
+        # is below 64.  The /64 store used to be re-derived once per day;
+        # it is now derived once, with the same estimate as before.
+        days = list(range(28))
+        network = eu_isp(AddressRegistry(seed=11), 11, 150)
+        store = single_network_store(network, days, seed=11)
+        calls = []
+        original = ObservationStore.truncated
+
+        def counting(self, prefix_len):
+            calls.append(prefix_len)
+            return original(self, prefix_len)
+
+        monkeypatch.setattr(ObservationStore, "truncated", counting)
+        result = estimate_subscribers(store, days)
+        assert result == SubscriberEstimate(
+            boundary=48, naive_64s=248, estimate=34, method="boundary-prefixes"
+        )
+        assert calls == [64]
 
     def test_empty_store_falls_back(self):
         result = estimate_subscribers(ObservationStore(), range(5))
