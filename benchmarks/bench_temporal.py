@@ -18,7 +18,9 @@ are non-trivial):
   day (the online path, including its flush tail).
 
 All sweep and stream outputs are asserted bit-identical to the per-day
-baseline before any speedup is reported.
+baseline before any speedup is reported.  ``stream_vs_sweep_serial``
+compares the online path with the batch sweep (target: the stream
+within 1.5x of the sweep, i.e. at least 0.67).
 
 Usage::
 
@@ -162,11 +164,9 @@ def run_benchmark(
     results["per_day"], per_day = _timed(
         lambda: [classify_day(store, day) for day in day_list]
     )
-    results["sweep_serial"], swept = _timed(lambda: sweep_days(store))
-    results["sweep_jobs"], swept_jobs = _timed(lambda: sweep_days(store, jobs=jobs))
-    results["sweep_both_granularities"], both = _timed(
-        lambda: sweep_granularities(store, [128, 64], jobs=jobs)
-    )
+    if seed_results is not None:
+        _assert_identical("per_day_seed", per_day, seed_results)
+        seed_results = None
 
     def run_stream():
         stream = StabilityStream()
@@ -176,20 +176,28 @@ def run_benchmark(
         emitted.extend(stream.flush())
         return emitted
 
-    results["stream"], streamed = _timed(run_stream)
-
+    # Each candidate is checked and released before the next one runs,
+    # so memory holds the store, the baseline and one candidate's results.
+    results["sweep_serial"], swept = _timed(lambda: sweep_days(store))
     _assert_identical("sweep_serial", per_day, swept)
-    _assert_identical("sweep_jobs", per_day, swept_jobs)
+    swept = None
+    results["sweep_jobs"], swept = _timed(lambda: sweep_days(store, jobs=jobs))
+    _assert_identical("sweep_jobs", per_day, swept)
+    swept = None
+    results["sweep_both_granularities"], both = _timed(
+        lambda: sweep_granularities(store, [128, 64], jobs=jobs)
+    )
     _assert_identical("sweep_granularities[128]", per_day, both[128])
+    both = None
+    results["stream"], streamed = _timed(run_stream)
     _assert_identical("stream", per_day, streamed)
-    if seed_results is not None:
-        _assert_identical("per_day_seed", per_day, seed_results)
 
     speedups = {
         "sweep_vs_per_day": results["per_day"] / results["sweep_serial"],
         "sweep_jobs_vs_per_day": results["per_day"] / results["sweep_jobs"],
         "sweep_jobs_vs_serial": results["sweep_serial"] / results["sweep_jobs"],
         "stream_vs_per_day": results["per_day"] / results["stream"],
+        "stream_vs_sweep_serial": results["sweep_serial"] / results["stream"],
     }
     if "per_day_seed" in results:
         speedups["per_day_vs_seed"] = results["per_day_seed"] / results["per_day"]
@@ -210,6 +218,9 @@ def run_benchmark(
         "verified": "bit-identical to per-day classify_day",
         "targets": {
             "sweep_vs_per_day >= 5x": round(speedups["sweep_vs_per_day"], 2),
+            "stream_vs_sweep_serial >= 0.67": round(
+                speedups["stream_vs_sweep_serial"], 2
+            ),
         },
     }
 

@@ -55,7 +55,7 @@ def observation_spans(
     """Compute per-address first/last/day-count over the given days.
 
     Runs on the sweep engine's grouped pass
-    (:func:`repro.core.sweep.grouped_spans`): one stable radix sort by
+    (:func:`repro.core.sweep.grouped_spans`): one packed-key sort by
     (address, day) replaces the structured ``np.unique`` and the
     scalar-dispatch ``ufunc.at`` updates of the original implementation.
     """

@@ -13,12 +13,14 @@ slides — so the stream can run over unbounded log sequences.
 
 Classification rides on the sweep engine's incremental window state
 (:class:`repro.core.sweep.SweepState`): the live window's observations
-are kept merged and sorted by (address, day), days entering and leaving
-as the window slides, so emitting a day costs two vectorized binary
-searches instead of rebuilding an :class:`ObservationStore` and
-re-scanning all window days (the pre-sweep implementation did both for
-every emitted day).  Pending days wait in a ``deque``, so draining is
-O(1) per emission rather than an O(n) list shift.
+are kept as merged columns sorted by (address, day).  A pushed day is
+merged in at its insertion points and expired days are masked out, so
+the window is never re-sorted and a push costs O(window) array work;
+emitting a day costs two vectorized binary searches instead of
+rebuilding an :class:`ObservationStore` and re-scanning all window days
+(the pre-sweep implementation did both for every emitted day).  Pending
+days wait in a ``deque``, so draining is O(1) per emission rather than
+an O(n) list shift.
 
 The emitted results are identical to the batch classifier's
 (:func:`repro.core.temporal.classify_day` over a store holding the same
@@ -31,7 +33,11 @@ from collections import deque
 from typing import Deque, Iterable, Iterator, List, Optional
 
 from repro.core.sweep import SweepState
-from repro.core.temporal import StabilityResult
+from repro.core.temporal import (
+    DEFAULT_WINDOW_AFTER,
+    DEFAULT_WINDOW_BEFORE,
+    StabilityResult,
+)
 from repro.data.store import DailyObservations
 
 
@@ -43,7 +49,11 @@ class StabilityStream:
         window_after: days of future each classification waits for.
     """
 
-    def __init__(self, window_before: int = 7, window_after: int = 7) -> None:
+    def __init__(
+        self,
+        window_before: int = DEFAULT_WINDOW_BEFORE,
+        window_after: int = DEFAULT_WINDOW_AFTER,
+    ) -> None:
         if window_before < 0 or window_after < 0:
             raise ValueError("window spans must be non-negative")
         self.window_before = window_before
@@ -115,8 +125,8 @@ class StabilityStream:
 
 def stream_classify(
     days: Iterable[tuple],
-    window_before: int = 7,
-    window_after: int = 7,
+    window_before: int = DEFAULT_WINDOW_BEFORE,
+    window_after: int = DEFAULT_WINDOW_AFTER,
 ) -> Iterator[StabilityResult]:
     """Run a whole (day, addresses) sequence through a stability stream.
 

@@ -16,9 +16,11 @@ engine:
 
 1. concatenates the window days' ``(hi, lo)`` address columns with a
    parallel day column (each day array touched once);
-2. sorts the observations by ``(address, day)`` with one stable radix
-   ``lexsort`` — no structured-dtype comparisons anywhere on the hot
-   path;
+2. sorts the observations by ``(address, day)`` with one unstable
+   ``argsort`` of a packed int64 key (:func:`_address_day_order`: the
+   dense ranks of ``hi`` and ``lo`` and the day offset, unique per
+   observation) — no structured-dtype comparisons and no multi-key
+   sort on the hot path;
 3. assigns run ids to equal-address runs and builds integer keys
    ``run_id * scale + day`` so that *per-address* day ranges can be
    found with plain global ``searchsorted`` calls;
@@ -37,19 +39,22 @@ ranges and, via :func:`sweep_granularities`, across prefix granularities
 (/128 addresses and /64 prefixes) simultaneously.
 
 :class:`SweepState` is the engine's incremental form for streaming: a
-window state that days enter (``push_day``) and leave (``evict_before``),
-holding the live window's observations merged and sorted so any buffered
-day can be classified without rebuilding a store.
-:class:`repro.core.streaming.StabilityStream` is built on it.
+window state that days enter (``push_day``) and leave (``evict_before``).
+It holds the live window as merged ``(hi, lo, day)`` columns that never
+need sorting: each new day is merged in at its insertion points (it is
+later than every buffered day) and evicted days are masked out, both in
+O(window), so any buffered day can be classified without rebuilding a
+store.  :class:`repro.core.streaming.StabilityStream` is built on it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.mra import _as_address_array
 from repro.core.temporal import (
     DEFAULT_WINDOW_AFTER,
     DEFAULT_WINDOW_BEFORE,
@@ -63,47 +68,90 @@ from repro.runtime.pool import PoolConfig, RunReport, resolve_jobs, run_supervis
 #: ``chunk + before + after`` day arrays) and is the unit of parallelism.
 DEFAULT_CHUNK_DAYS = 64
 
+#: Packed sort keys and window keys stay below this bound (int64 headroom).
+_KEY_LIMIT = 2**62
+
+_KEY_OVERFLOW = "day span too large for sweep keys; reduce chunk_days"
+
+
+def _dense_rank(values: np.ndarray) -> Tuple[np.ndarray, int]:
+    """0-based rank of each value among the distinct values, and their
+    count."""
+    order = np.argsort(values)
+    ordered = values[order]
+    fresh = np.empty(ordered.shape[0], dtype=bool)
+    fresh[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
+    ranks_in_order = np.cumsum(fresh, dtype=np.int64) - 1
+    ranks = np.empty_like(ranks_in_order)
+    ranks[order] = ranks_in_order
+    return ranks, int(ranks_in_order[-1]) + 1
+
+
+def _address_day_order(
+    hi: np.ndarray, lo: np.ndarray, day: np.ndarray
+) -> np.ndarray:
+    """The permutation that sorts observations by ``(hi, lo, day)``.
+
+    Packs each observation into one int64,
+    ``(hi_rank * n_lo + lo_rank) * span + (day - offset)``, from the
+    dense ranks of ``hi`` and ``lo``, and runs a single unstable
+    ``argsort`` on it.  For distinct ``(address, day)`` observations
+    (every caller concatenates canonical day arrays) the key is unique,
+    so the permutation is the one a stable lexicographic sort on
+    ``(hi, lo, day)`` gives.  Raises ``ValueError`` when the key would
+    reach 2**62.
+    """
+    if day.shape[0] == 0:
+        return np.empty(0, dtype=np.intp)
+    key, n_hi = _dense_rank(hi)
+    lo_rank, n_lo = _dense_rank(lo)
+    offset = int(day.min())
+    span = int(day.max()) - offset + 1
+    if n_hi * n_lo * span >= _KEY_LIMIT:
+        raise ValueError(_KEY_OVERFLOW)
+    key *= n_lo
+    key += lo_rank
+    del lo_rank
+    key *= span
+    key += day - offset
+    return np.argsort(key)
+
 
 class _SortedWindow:
     """Observations of several days, sorted by (address, day).
 
-    ``hi``/``lo``/``day`` are the sorted columns; ``order`` is the
-    permutation that produced them (for scattering results back);
-    ``gid`` numbers equal-address runs; ``key = gid * scale + day-offset``
-    lets per-address day ranges be located with global ``searchsorted``.
+    ``hi``/``lo``/``day`` are the sorted columns; ``gid`` numbers
+    equal-address runs; ``key = gid * scale + day-offset`` lets
+    per-address day ranges be located with global ``searchsorted``.
 
-    Precondition: within the *input* columns, the observations of any one
-    address must already be in ascending day order (true whenever whole
-    day arrays are concatenated chronologically, since ``lexsort`` is
-    stable).  ``margin`` must be at least ``before + after + 1`` of any
-    window later queried, so that out-of-range query keys cannot cross
-    into a neighbouring address's key range.
+    The columns must already be in ``(hi, lo, day)`` order: the batch
+    sweep orders them with :func:`_address_day_order`, the streaming
+    state keeps its window that way.  ``margin`` must be at least
+    ``before + after + 1`` of any window later queried, so that
+    out-of-range query keys cannot cross into a neighbouring address's
+    key range.
     """
 
-    __slots__ = ("order", "hi", "lo", "day", "gid", "key", "scale", "offset")
+    __slots__ = ("hi", "lo", "day", "gid", "key", "scale", "offset")
 
     def __init__(
         self, hi: np.ndarray, lo: np.ndarray, day: np.ndarray, margin: int
     ) -> None:
-        order = np.lexsort((lo, hi))
-        self.order = order
-        self.hi = hi[order]
-        self.lo = lo[order]
-        sday = np.asarray(day, dtype=np.int64)[order]
-        self.day = sday
-        n = sday.shape[0]
+        self.hi = hi
+        self.lo = lo
+        self.day = day
+        n = day.shape[0]
         boundary = np.empty(n, dtype=bool)
         boundary[0] = True
-        boundary[1:] = (self.hi[1:] != self.hi[:-1]) | (self.lo[1:] != self.lo[:-1])
+        boundary[1:] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])
         self.gid = np.cumsum(boundary, dtype=np.int64) - 1
-        self.offset = int(sday.min())
-        span = int(sday.max()) - self.offset + 1
+        self.offset = int(day.min())
+        span = int(day.max()) - self.offset + 1
         self.scale = span + int(margin)
-        if (int(self.gid[-1]) + 1) * self.scale >= 2**62:
-            raise ValueError(
-                "day span too large for sweep keys; reduce chunk_days"
-            )
-        self.key = self.gid * self.scale + (sday - self.offset)
+        if (int(self.gid[-1]) + 1) * self.scale >= _KEY_LIMIT:
+            raise ValueError(_KEY_OVERFLOW)
+        self.key = self.gid * self.scale + (day - self.offset)
 
     def extremes(
         self,
@@ -144,17 +192,17 @@ def grouped_spans(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-address (addresses, first, last, days_seen) over day arrays.
 
-    The sweep engine's grouped pass without a window: one stable radix
-    sort by (address, day) instead of a structured ``np.unique`` plus
-    scalar-dispatch ``ufunc.at`` updates.  Backs
-    :func:`repro.core.churn.observation_spans`.
+    The sweep engine's grouped pass without a window: one packed-key
+    sort by (address, day) (:func:`_address_day_order`) instead of a
+    structured ``np.unique`` plus scalar-dispatch ``ufunc.at`` updates.
+    Backs :func:`repro.core.churn.observation_spans`.
     """
     total = sum(array.shape[0] for array in arrays)
     if total == 0:
         empty = np.empty(0, dtype=np.int64)
         return np.empty(0, dtype=ADDRESS_DTYPE), empty, empty.copy(), empty.copy()
     hi, lo, day = _concat_columns(arrays, [int(d) for d in days])
-    order = np.lexsort((day, lo, hi))
+    order = _address_day_order(hi, lo, day)
     shi, slo, sday = hi[order], lo[order], day[order]
     boundary = np.empty(total, dtype=bool)
     boundary[0] = True
@@ -201,7 +249,10 @@ def _sweep_chunk(
     if total == 0:
         return [(day, np.empty(0, dtype=np.int64)) for day in ref_days]
     hi, lo, day_col = _concat_columns(arrays, window_days)
-    window = _SortedWindow(hi, lo, day_col, margin=window_before + window_after + 1)
+    order = _address_day_order(hi, lo, day_col)
+    window = _SortedWindow(
+        hi[order], lo[order], day_col[order], margin=window_before + window_after + 1
+    )
     # Mark which sorted positions belong to reference days (boundary days
     # are context only — their own windows extend outside this chunk).
     span = int(window.day.max()) - window.offset + 1
@@ -214,7 +265,7 @@ def _sweep_chunk(
     if qpos.shape[0]:
         qday = window.day[qpos]
         first, last = window.extremes(qpos, qday - window_before, qday + window_after)
-        gaps_all[window.order[qpos]] = last - first
+        gaps_all[order[qpos]] = last - first
     starts = np.concatenate([[0], np.cumsum(sizes)])
     day_index = {day: i for i, day in enumerate(window_days)}
     out: List[Tuple[int, np.ndarray]] = []
@@ -438,17 +489,43 @@ def sweep_granularities(
     }
 
 
+def _insertion_points(
+    hi: np.ndarray, lo: np.ndarray, new_hi: np.ndarray, new_lo: np.ndarray
+) -> np.ndarray:
+    """Where each new address goes in columns sorted by ``(hi, lo)``:
+    after every entry not greater than it (``side="right"``).
+
+    One ``searchsorted`` on ``hi`` brackets each new address's equal-``hi``
+    range; a vectorized bisection on ``lo`` then narrows every range at
+    once, each round carrying only the ranges still open.
+    """
+    points = np.searchsorted(hi, new_hi, side="left")
+    stop = np.searchsorted(hi, new_hi, side="right")
+    open_ = np.nonzero(points < stop)[0]
+    low, high, target = points[open_], stop[open_], new_lo[open_]
+    while open_.shape[0]:
+        mid = (low + high) >> 1
+        after = lo[mid] <= target
+        low = np.where(after, mid + 1, low)
+        high = np.where(after, high, mid)
+        points[open_] = low
+        still = low < high
+        open_, low, high, target = open_[still], low[still], high[still], target[still]
+    return points
+
+
 class SweepState:
     """The sweep engine's incremental window state, for streaming use.
 
     Days enter with :meth:`push_day` (chronological order) and leave with
     :meth:`evict_before`; :meth:`classify` answers for any buffered
     reference day, bit-identical to ``classify_day`` over a store holding
-    the same days.  The buffered observations are kept merged and sorted
-    by (address, day) — consolidation runs at most once per push, one
-    stable radix sort over the live window, replacing the per-emission
-    store rebuild and O(window) membership rescans of the pre-sweep
-    streaming classifier.
+    the same days.  The buffered observations are kept as merged
+    ``(hi, lo, day)`` columns in that sort order.  Nothing is ever
+    re-sorted: a pushed day is later than every buffered day, so its
+    addresses go after their equal-address runs and are scattered in at
+    their insertion points; eviction masks old days out, which keeps the
+    order.  Both cost O(window) per day.
     """
 
     def __init__(
@@ -460,44 +537,67 @@ class SweepState:
             raise ValueError("window spans must be non-negative")
         self.window_before = window_before
         self.window_after = window_after
-        self._segments: "deque[Tuple[int, np.ndarray]]" = deque()
+        #: (day, observation count) of every buffered day, oldest first.
+        self._days: Deque[Tuple[int, int]] = deque()
+        self._hi = np.empty(0, dtype=np.uint64)
+        self._lo = np.empty(0, dtype=np.uint64)
+        self._day = np.empty(0, dtype=np.int64)
         self._window: Optional[_SortedWindow] = None
 
     @property
     def days_held(self) -> int:
         """Number of days currently buffered."""
-        return len(self._segments)
+        return len(self._days)
 
     def push_day(self, day: int, addresses: np.ndarray) -> None:
-        """Add one day's sorted address array to the live window."""
+        """Merge one day's addresses into the live window."""
         day = int(day)
-        if self._segments and day <= self._segments[-1][0]:
+        if self._days and day <= self._days[-1][0]:
             raise ValueError(
                 f"days must be pushed in increasing order: {day} after "
-                f"{self._segments[-1][0]}"
+                f"{self._days[-1][0]}"
             )
-        self._segments.append((day, addresses))
+        array = _as_address_array(addresses)
+        new = array.shape[0]
+        self._days.append((day, new))
+        if new == 0:
+            return
+        slots = _insertion_points(self._hi, self._lo, array["hi"], array["lo"])
+        slots += np.arange(new)
+        total = self._day.shape[0] + new
+        old = np.ones(total, dtype=bool)
+        old[slots] = False
+        hi = np.empty(total, dtype=np.uint64)
+        hi[slots] = array["hi"]
+        hi[old] = self._hi
+        lo = np.empty(total, dtype=np.uint64)
+        lo[slots] = array["lo"]
+        lo[old] = self._lo
+        days = np.empty(total, dtype=np.int64)
+        days[slots] = day
+        days[old] = self._day
+        self._hi, self._lo, self._day = hi, lo, days
         self._window = None
 
     def evict_before(self, day: int) -> None:
         """Drop buffered days earlier than ``day`` from the window."""
-        evicted = False
-        while self._segments and self._segments[0][0] < day:
-            self._segments.popleft()
-            evicted = True
-        if evicted:
+        dropped = 0
+        while self._days and self._days[0][0] < day:
+            dropped += self._days.popleft()[1]
+        if dropped:
+            keep = self._day >= day
+            self._hi = self._hi[keep]
+            self._lo = self._lo[keep]
+            self._day = self._day[keep]
             self._window = None
 
     def _sorted_window(self) -> Optional[_SortedWindow]:
-        if self._window is None:
-            arrays = [array for _, array in self._segments]
-            if sum(array.shape[0] for array in arrays) == 0:
-                return None
-            hi, lo, day = _concat_columns(
-                arrays, [day for day, _ in self._segments]
-            )
+        if self._window is None and self._day.shape[0]:
             self._window = _SortedWindow(
-                hi, lo, day, margin=self.window_before + self.window_after + 1
+                self._hi,
+                self._lo,
+                self._day,
+                margin=self.window_before + self.window_after + 1,
             )
         return self._window
 
