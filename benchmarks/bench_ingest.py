@@ -12,6 +12,15 @@ a synthetic multi-day store of daily aggregated logs:
 * **cache_warm** — re-loading everything from the memory-mapped cache.
 * **parallel_cold** / **parallel_warm** — fanning days out over worker
   processes with ``load_store(jobs=N)``.
+* **\\*_shuffled** — the cold paths again on the same days written the
+  way an aggregator that flushes twice writes them: lines shuffled and
+  1% repeated.  Canonical logs are sorted and unique, so the reader
+  skips its merge; these logs make it run.
+
+Every store is checked against a reference built from the generated
+columns with a structured ``np.unique`` (independent of the library's
+merge).  ``stages`` splits the serial text parse of each log set into
+tokenize / addresses / hits / merge seconds, summed over days.
 
 Usage::
 
@@ -42,7 +51,13 @@ sys.path.insert(
 )
 
 from repro.data import logfile  # noqa: E402
-from repro.data.store import ADDRESS_DTYPE, DailyObservations, ObservationStore  # noqa: E402
+from repro.data.store import (  # noqa: E402
+    ADDRESS_DTYPE,
+    DailyObservations,
+    ObservationStore,
+    merge_halves,
+    strictly_increasing,
+)
 from repro.net import addr, batchparse  # noqa: E402
 
 
@@ -112,23 +127,112 @@ def _seed_load_store(paths: List[str]) -> ObservationStore:
 # --------------------------------------------------------------------------
 
 
-def _write_synthetic_logs(
-    directory: str, days: int, addrs_per_day: int, seed: int
-) -> List[str]:
-    """Daily logs of random-but-structured addresses with hit counts."""
+def _synthetic_days(
+    days: int, addrs_per_day: int, seed: int
+) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per day, (hi, lo, hits) of random-but-structured addresses."""
     rng = np.random.default_rng(seed)
     # A pool of /64 networks so days share prefixes like real client logs.
     networks = rng.integers(0, 1 << 48, size=max(addrs_per_day // 8, 1), dtype=np.uint64)
     networks = (networks << np.uint64(16)) | np.uint64(0x2000) << np.uint64(48)
-    paths = []
-    for day in range(days):
+    columns = []
+    for _day in range(days):
         hi = rng.choice(networks, size=addrs_per_day)
         lo = rng.integers(0, 1 << 62, size=addrs_per_day, dtype=np.uint64)
         hits = rng.integers(1, 1000, size=addrs_per_day, dtype=np.uint64)
+        columns.append((hi, lo, hits))
+    return columns
+
+
+def _write_canonical_logs(
+    directory: str, columns: List[Tuple[np.ndarray, np.ndarray, np.ndarray]]
+) -> List[str]:
+    """Sorted, duplicate-free logs, as ``save_store`` writes them."""
+    paths = []
+    for day, (hi, lo, hits) in enumerate(columns):
         path = os.path.join(directory, f"log-{day}.txt")
         logfile.write_daily_log_arrays(path, day, hi, lo, hits)
         paths.append(path)
     return paths
+
+
+def _write_shuffled_logs(
+    directory: str,
+    columns: List[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+    seed: int,
+) -> Tuple[List[str], List[Tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """Shuffled logs with 1% of lines repeated; returns paths and rows."""
+    rng = np.random.default_rng(seed + 1)
+    paths, rows = [], []
+    for day, (hi, lo, hits) in enumerate(columns):
+        repeats = rng.choice(hi.shape[0], size=max(hi.shape[0] // 100, 1))
+        order = rng.permutation(hi.shape[0] + repeats.shape[0])
+        index = np.concatenate([np.arange(hi.shape[0]), repeats])[order]
+        day_hi, day_lo, day_hits = hi[index], lo[index], hits[index]
+        texts = batchparse.format_batch(day_hi, day_lo)
+        path = os.path.join(directory, f"log-{day}.txt")
+        with open(path, "w", encoding="ascii") as handle:
+            handle.write(f"# repro aggregated log day={day}\n")
+            handle.writelines(f"{t} {int(h)}\n" for t, h in zip(texts, day_hits))
+        paths.append(path)
+        rows.append((day_hi, day_lo, day_hits))
+    return paths, rows
+
+
+def _reference_store(
+    columns: List[Tuple[np.ndarray, np.ndarray, np.ndarray]]
+) -> ObservationStore:
+    """The expected store: a structured ``np.unique`` merge per day."""
+    store = ObservationStore()
+    for day, (hi, lo, hits) in enumerate(columns):
+        raw = np.empty(hi.shape[0], dtype=ADDRESS_DTYPE)
+        raw["hi"] = hi
+        raw["lo"] = lo
+        unique, inverse = np.unique(raw, return_inverse=True)
+        summed = np.zeros(unique.shape[0], dtype=np.uint64)
+        np.add.at(summed, inverse, hits)
+        observations = DailyObservations.from_array(day, unique)
+        observations.hits = summed
+        store.add_observations(observations)
+    return store
+
+
+def _stage_split(paths: List[str]) -> Dict[str, float]:
+    """Serial parse seconds per reader stage, summed over ``paths``.
+
+    Runs the stages of ``logfile._parse_log_bytes`` one by one and
+    checks that together they give the reader's result.
+    """
+    seconds = {"tokenize": 0.0, "addresses": 0.0, "hits": 0.0, "merge": 0.0}
+    for path in paths:
+        with open(path, "rb") as handle:
+            raw = np.frombuffer(handle.read(), dtype=np.uint8)
+        start = time.perf_counter()
+        day, a_starts, a_ends, h_starts, h_ends, lines = logfile._entry_spans(
+            raw, path, False, None
+        )
+        tokenized = time.perf_counter()
+        hi, lo, bad = logfile._address_column(
+            raw, a_starts, a_ends, lines, path, False, None
+        )
+        parsed = time.perf_counter()
+        hits = logfile._hit_column(
+            raw, h_starts, h_ends, lines, bad, path, False, None
+        )
+        counted = time.perf_counter()
+        if not strictly_increasing(hi, lo):
+            hi, lo, hits = merge_halves(hi, lo, hits)
+        merged = time.perf_counter()
+        seconds["tokenize"] += tokenized - start
+        seconds["addresses"] += parsed - tokenized
+        seconds["hits"] += counted - parsed
+        seconds["merge"] += merged - counted
+        want = logfile.read_daily_log_arrays(path)
+        if day != want[0] or not all(
+            np.array_equal(a, b) for a, b in zip((hi, lo, hits), want[1:])
+        ):
+            raise AssertionError(f"stage split differs from the reader on {path}")
+    return seconds
 
 
 def _timed(fn, repeats: int = 1) -> Tuple[float, object]:
@@ -161,46 +265,68 @@ def run_benchmark(
     days: int, addrs_per_day: int, jobs: int, seed: int, skip_seed_baseline: bool
 ) -> Dict:
     results: Dict[str, float] = {}
+    stages: Dict[str, Dict[str, float]] = {}
+    columns = _synthetic_days(days, addrs_per_day, seed)
     with tempfile.TemporaryDirectory(prefix="bench-ingest-") as directory:
         log_dir = os.path.join(directory, "logs")
+        shuffled_dir = os.path.join(directory, "shuffled")
         cache_dir = os.path.join(directory, "cache")
         os.makedirs(log_dir)
-        paths = _write_synthetic_logs(log_dir, days, addrs_per_day, seed)
+        os.makedirs(shuffled_dir)
+        paths = _write_canonical_logs(log_dir, columns)
+        shuffled_paths, shuffled_rows = _write_shuffled_logs(
+            shuffled_dir, columns, seed
+        )
 
+        stores: Dict[str, ObservationStore] = {}
         if not skip_seed_baseline:
-            results["seed_cold"], seed_store = _timed(lambda: _seed_load_store(paths))
-        else:
-            seed_store = None
-
-        results["fast_cold"], fast_store = _timed(lambda: logfile.load_store(paths))
-        results["cache_build"], cold_cache_store = _timed(
+            results["seed_cold"], stores["seed_cold"] = _timed(
+                lambda: _seed_load_store(paths)
+            )
+        results["fast_cold"], stores["fast_cold"] = _timed(
+            lambda: logfile.load_store(paths)
+        )
+        results["cache_build"], stores["cache_build"] = _timed(
             lambda: logfile.load_store(paths, cache_dir=cache_dir)
         )
-        results["cache_warm"], warm_store = _timed(
+        results["cache_warm"], stores["cache_warm"] = _timed(
             lambda: logfile.load_store(paths, cache_dir=cache_dir)
         )
-        results["parallel_cold"], par_store = _timed(
+        results["parallel_cold"], stores["parallel_cold"] = _timed(
             lambda: logfile.load_store(paths, jobs=jobs)
         )
-        results["parallel_warm"], par_warm_store = _timed(
+        results["parallel_warm"], stores["parallel_warm"] = _timed(
             lambda: logfile.load_store(paths, jobs=jobs, cache_dir=cache_dir)
         )
+        shuffled: Dict[str, ObservationStore] = {}
+        if not skip_seed_baseline:
+            results["seed_cold_shuffled"], shuffled["seed_cold_shuffled"] = _timed(
+                lambda: _seed_load_store(shuffled_paths)
+            )
+        results["fast_cold_shuffled"], shuffled["fast_cold_shuffled"] = _timed(
+            lambda: logfile.load_store(shuffled_paths)
+        )
+        results["parallel_cold_shuffled"], shuffled["parallel_cold_shuffled"] = (
+            _timed(lambda: logfile.load_store(shuffled_paths, jobs=jobs))
+        )
+        stages["canonical"] = _stage_split(paths)
+        stages["shuffled"] = _stage_split(shuffled_paths)
 
-        for name, other in [
-            ("cache_build", cold_cache_store),
-            ("cache_warm", warm_store),
-            ("parallel_cold", par_store),
-            ("parallel_warm", par_warm_store),
-        ]:
-            if not _stores_equal(fast_store, other):
-                raise AssertionError(f"{name} store differs from fast_cold store")
-        if seed_store is not None and not _stores_equal(fast_store, seed_store):
-            raise AssertionError("fast_cold store differs from seed-path store")
+    for expected, group in [
+        (_reference_store(columns), stores),
+        (_reference_store(shuffled_rows), shuffled),
+    ]:
+        for name, store in group.items():
+            if not _stores_equal(expected, store):
+                raise AssertionError(f"{name} store differs from the reference")
 
     speedups = {}
     if "seed_cold" in results:
         speedups["cold_text_vs_seed"] = results["seed_cold"] / results["fast_cold"]
         speedups["warm_cache_vs_seed"] = results["seed_cold"] / results["cache_warm"]
+        speedups["cold_shuffled_vs_seed"] = (
+            results["seed_cold_shuffled"] / results["fast_cold_shuffled"]
+        )
     speedups["warm_cache_vs_fast_cold"] = results["fast_cold"] / results["cache_warm"]
     speedups["parallel_vs_serial_cold"] = results["fast_cold"] / results["parallel_cold"]
 
@@ -215,6 +341,10 @@ def run_benchmark(
             "cpus": os.cpu_count(),
         },
         "seconds": {k: round(v, 4) for k, v in results.items()},
+        "stages": {
+            logs: {k: round(v, 4) for k, v in split.items()}
+            for logs, split in stages.items()
+        },
         "speedups": {k: round(v, 2) for k, v in speedups.items()},
         "targets": {
             "warm_cache_vs_seed >= 10x": speedups.get("warm_cache_vs_seed"),

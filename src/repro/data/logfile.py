@@ -21,15 +21,17 @@ Semantics:
   as ``"٣"`` satisfy ``str.isdigit()`` and convert via ``int()``, but
   are not valid log syntax and raise :class:`LogFormatError`.
 
-Ingestion is columnar: the whole file is tokenized with vectorized
-numpy passes over the raw bytes, address bytes are gathered into a
-matrix and parsed by :func:`repro.net.batchparse.parse_matrix`, and hit
-counts are evaluated with a handful of vectorized digit passes.  Only
-exotic rows (embedded IPv4, >19-digit counts, …) fall back to scalar
-code.  :func:`load_store` can additionally reuse the binary columnar
-cache in :mod:`repro.data.daycache`, serving hits in the calling
-process, and fan the days that still need parsing out across worker
-processes (days are independent).
+Ingestion is columnar, in four vectorized stages over the raw bytes:
+tokenize (token and newline positions, found once per file), addresses
+(parsed in place by the span kernel
+:func:`repro.net.batchparse.parse_spans`), hit counts (a handful of
+digit passes), and the merge (:func:`repro.data.store.merge_halves`,
+skipped for canonical logs).  Only exotic rows (embedded IPv4,
+>19-digit counts, …) fall back to scalar code.  :func:`load_store` can
+additionally reuse the binary columnar cache in
+:mod:`repro.data.daycache`, serving hits in the calling process, and
+fan the days that still need parsing out across worker processes (days
+are independent).
 
 Error handling is two-mode.  ``errors="strict"`` (the default) raises
 :class:`LogFormatError` on the first malformed line — bit-for-bit the
@@ -54,6 +56,7 @@ import numpy as np
 from repro.data.store import (
     DailyObservations,
     ObservationStore,
+    merge_halves,
     strictly_increasing,
 )
 from repro.net import addr, batchparse
@@ -115,19 +118,10 @@ def write_daily_log_arrays(
     """
     hi = np.ascontiguousarray(hi, dtype=np.uint64)
     lo = np.ascontiguousarray(lo, dtype=np.uint64)
-    from repro.data import store as obstore
-
-    entries = np.empty(hi.shape[0], dtype=obstore.ADDRESS_DTYPE)
-    entries["hi"] = hi
-    entries["lo"] = lo
-    unique, inverse = np.unique(entries, return_inverse=True)
-    if hits is None:
-        merged_hits = np.zeros(unique.shape[0], dtype=np.uint64)
-        np.add.at(merged_hits, inverse, np.uint64(1))
-    else:
-        merged_hits = np.zeros(unique.shape[0], dtype=np.uint64)
-        np.add.at(merged_hits, inverse, np.asarray(hits, dtype=np.uint64))
-    texts = batchparse.format_batch(unique["hi"], unique["lo"])
+    counts = np.ones(hi.shape[0], dtype=np.uint64) if hits is None else hits
+    hi, lo, merged_hits = merge_halves(hi, lo, counts)
+    assert merged_hits is not None
+    texts = batchparse.format_batch(hi, lo)
     lines = [f"{text} {int(h)}\n" for text, h in zip(texts, merged_hits)]
     with open(path, "w", encoding="ascii") as handle:
         handle.write(f"# repro aggregated log day={day}\n")
@@ -233,20 +227,38 @@ def read_daily_log(
     return day, list(merged.items())
 
 
-def _token_spans(data: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+#: ``bytes.translate`` table: 0 for the bytes that separate tokens
+#: (space, tab, CR and LF), 1 for every other byte.
+_WORD_TABLE = bytes(0 if byte in b" \t\r\n" else 1 for byte in range(256))
+
+#: A parsed day: ``(day, hi, lo, hits)``, sorted and duplicate-free.
+_Columns = Tuple[Optional[int], np.ndarray, np.ndarray, np.ndarray]
+
+#: The entry lines of a day log, as the tokenize stage returns them:
+#: ``(day, address_starts, address_ends, hit_starts, hit_ends,
+#: entry_lines)``, spans into the raw buffer and 1-based line numbers.
+_Entries = Tuple[
+    Optional[int], np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray
+]
+
+
+def _token_spans(
+    raw: np.ndarray, newlines: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized tokenizer: (starts, ends, line_index) of all tokens."""
-    is_nl = data == _NEWLINE
-    is_ws = (data == 0x20) | (data == 0x09) | (data == 0x0D) | is_nl
-    word = ~is_ws
-    starts_mask = word.copy()
-    starts_mask[1:] &= ~word[:-1]
-    ends_mask = word.copy()
-    ends_mask[:-1] &= ~word[1:]
-    starts = np.nonzero(starts_mask)[0]
-    ends = np.nonzero(ends_mask)[0] + 1
-    newlines_before = np.cumsum(is_nl, dtype=np.int64)
-    lines = newlines_before[starts]  # starts are never newlines
-    return starts, ends, lines
+    padded = bytearray(b" ") * (raw.shape[0] + 2)
+    padded[1:-1] = raw.data
+    word = np.frombuffer(padded.translate(_WORD_TABLE), dtype=bool)
+    edges = np.flatnonzero(word[1:] != word[:-1])
+    starts, ends = edges[0::2], edges[1::2]
+    return starts, ends, np.searchsorted(newlines, starts)
+
+
+def _line_text(raw: np.ndarray, newlines: np.ndarray, line_id: int) -> str:
+    """Decode one line of the raw byte buffer (for headers and excerpts)."""
+    start = 0 if line_id == 0 else int(newlines[line_id - 1]) + 1
+    end = int(newlines[line_id]) if line_id < newlines.shape[0] else raw.shape[0]
+    return bytes(raw[start:end]).decode("utf-8", errors="replace").strip()
 
 
 def _gather_matrix(
@@ -262,72 +274,41 @@ def _gather_matrix(
     return matrix
 
 
-def _line_excerpt(raw: np.ndarray, line_id: int) -> str:
-    """Decode one line of the raw byte buffer for a quarantine record."""
-    newline_positions = np.nonzero(raw == _NEWLINE)[0]
-    start = 0 if line_id == 0 else int(newline_positions[line_id - 1]) + 1
-    end = (
-        int(newline_positions[line_id])
-        if line_id < newline_positions.shape[0]
-        else raw.shape[0]
-    )
-    return bytes(raw[start:end]).decode("utf-8", errors="replace").strip()
-
-
-def _parse_log_bytes(
-    data: bytes,
+def _entry_spans(
+    raw: np.ndarray,
     path: str,
-    errors: str = ERRORS_STRICT,
-    report: Optional[QuarantineReport] = None,
-) -> Tuple[Optional[int], np.ndarray, np.ndarray, np.ndarray]:
-    """Columnar day-log parse: returns (day, hi, lo, hits) merged+sorted.
+    quarantine: bool,
+    report: Optional[QuarantineReport],
+) -> _Entries:
+    """Tokenize stage: the day header and the spans of every entry line.
 
-    With ``errors="quarantine"``, malformed entry lines are recorded in
-    ``report`` and dropped instead of raising; the surviving rows merge
-    and sort exactly as in strict mode.
+    Lines that are not ``address hits`` raise :class:`LogFormatError`,
+    or with ``quarantine`` are recorded as ``bad-line-shape`` and
+    dropped.  Newline positions are found once and shared by the line
+    numbering, the header lookup and the quarantine excerpts.
     """
-    quarantine = errors == ERRORS_QUARANTINE
-    if quarantine and report is None:
-        report = QuarantineReport()
-    raw = np.frombuffer(data, dtype=np.uint8)
-    empty = (
-        None,
-        np.empty(0, dtype=np.uint64),
-        np.empty(0, dtype=np.uint64),
-        np.empty(0, dtype=np.uint64),
-    )
-    if raw.shape[0] == 0:
-        return empty
-    starts, ends, lines = _token_spans(raw)
+    newlines = np.flatnonzero(raw == _NEWLINE)
+    starts, ends, lines = _token_spans(raw, newlines)
+    no_entries = np.empty(0, dtype=np.int64)
     if starts.shape[0] == 0:
-        return empty
+        return (None,) + (no_entries,) * 5
 
     # `lines` is nondecreasing, so line groups are contiguous runs — no
     # need for np.unique's sort.
     boundary = np.empty(lines.shape[0], dtype=bool)
     boundary[0] = True
     np.not_equal(lines[1:], lines[:-1], out=boundary[1:])
-    first_token = np.nonzero(boundary)[0]
+    first_token = np.flatnonzero(boundary)
     line_ids = lines[first_token]
     tokens_per_line = np.diff(np.append(first_token, lines.shape[0]))
     is_comment_line = raw[starts[first_token]] == _HASH
 
     # Day header: first comment line mentioning day=.
     day: Optional[int] = None
-    if is_comment_line.any():
-        newline_positions = np.nonzero(raw == _NEWLINE)[0]
-        for line_id in line_ids[is_comment_line]:
-            start = 0 if line_id == 0 else int(newline_positions[line_id - 1]) + 1
-            end = (
-                int(newline_positions[line_id])
-                if line_id < newline_positions.shape[0]
-                else raw.shape[0]
-            )
-            day = _day_from_comment(
-                bytes(raw[start:end]).decode("utf-8", errors="replace")
-            )
-            if day is not None:
-                break
+    for line_id in line_ids[is_comment_line]:
+        day = _day_from_comment(_line_text(raw, newlines, int(line_id)))
+        if day is not None:
+            break
 
     bad_counts = ~is_comment_line & (tokens_per_line != 2)
     if quarantine:
@@ -343,75 +324,85 @@ def _parse_log_bytes(
                 path,
                 int(line_id) + 1,
                 "bad-line-shape",
-                _line_excerpt(raw, int(line_id)),
+                _line_text(raw, newlines, int(line_id)),
             )
 
     keep = np.repeat(~is_comment_line & ~bad_counts, tokens_per_line)
     starts, ends, lines = starts[keep], ends[keep], lines[keep]
-    if starts.shape[0] == 0:
-        return (day, *empty[1:])
+    return day, starts[0::2], ends[0::2], starts[1::2], ends[1::2], lines[0::2] + 1
 
-    address_starts, address_ends = starts[0::2], ends[0::2]
-    hit_starts, hit_ends = starts[1::2], ends[1::2]
-    entry_lines = lines[0::2] + 1  # 1-based line numbers
 
-    # --- address column ---
-    address_lengths = address_ends - address_starts
-    width = int(address_lengths.max())
-    overlong = address_lengths > batchparse._MAX_WIDTH
-    matrix = _gather_matrix(
-        raw,
-        address_starts,
-        np.where(overlong, 0, address_lengths),
-        min(width, batchparse._MAX_WIDTH),
-    )
-    hi, lo, fast = batchparse.parse_matrix(matrix)
-    fast &= ~overlong
+def _address_column(
+    raw: np.ndarray,
+    starts: np.ndarray,
+    ends: np.ndarray,
+    entry_lines: np.ndarray,
+    path: str,
+    quarantine: bool,
+    report: Optional[QuarantineReport],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Address stage: ``(hi, lo, bad_rows)`` for the address tokens.
+
+    The span kernel parses the tokens in place; the rest go to the
+    scalar parser, whose :class:`~repro.net.addr.AddressError` raises
+    :class:`LogFormatError` or, with ``quarantine``, marks the row bad.
+    """
+    hi, lo, fast = batchparse.parse_spans(raw, starts, ends)
     bad_rows = np.zeros(hi.shape[0], dtype=bool)
-    if not fast.all():
-        for i in np.nonzero(~fast)[0]:
-            token = bytes(raw[address_starts[i] : address_ends[i]])
-            try:
-                value = addr.parse(token.decode("utf-8", errors="replace"))
-            except addr.AddressError as exc:
-                if not quarantine:
-                    raise _error(path, int(entry_lines[i]), str(exc)) from exc
-                assert report is not None
-                report.line_fault(
-                    path,
-                    int(entry_lines[i]),
-                    "bad-address",
-                    token.decode("utf-8", errors="replace"),
-                )
-                bad_rows[i] = True
-                continue
-            hi[i] = value >> 64
-            lo[i] = value & addr.IID_MASK
+    for i in np.flatnonzero(~fast):
+        token = bytes(raw[starts[i] : ends[i]]).decode("utf-8", errors="replace")
+        try:
+            value = addr.parse(token)
+        except addr.AddressError as exc:
+            if not quarantine:
+                raise _error(path, int(entry_lines[i]), str(exc)) from exc
+            assert report is not None
+            report.line_fault(path, int(entry_lines[i]), "bad-address", token)
+            bad_rows[i] = True
+            continue
+        hi[i] = value >> 64
+        lo[i] = value & addr.IID_MASK
+    return hi, lo, bad_rows
 
-    # --- hit-count column ---
-    hit_lengths = hit_ends - hit_starts
-    slow_hits = hit_lengths > _MAX_FAST_HIT_DIGITS
+
+def _hit_column(
+    raw: np.ndarray,
+    starts: np.ndarray,
+    ends: np.ndarray,
+    entry_lines: np.ndarray,
+    bad_rows: np.ndarray,
+    path: str,
+    quarantine: bool,
+    report: Optional[QuarantineReport],
+) -> np.ndarray:
+    """Hit-count stage: the counts, marking new faults in ``bad_rows``.
+
+    Counts of up to 19 ASCII digits are evaluated with vectorized digit
+    passes; longer ones take the scalar path and must fit in uint64.
+    """
+    lengths = ends - starts
+    slow_hits = lengths > _MAX_FAST_HIT_DIGITS
     hit_matrix = _gather_matrix(
         raw,
-        hit_starts,
-        np.where(slow_hits, 0, hit_lengths),
-        min(int(hit_lengths.max()), _MAX_FAST_HIT_DIGITS),
+        starts,
+        np.where(slow_hits, 0, lengths),
+        min(int(lengths.max()), _MAX_FAST_HIT_DIGITS),
     )
-    in_token = np.arange(hit_matrix.shape[1]) < hit_lengths[:, None]
+    in_token = np.arange(hit_matrix.shape[1]) < lengths[:, None]
     digit_ok = (hit_matrix >= _ZERO) & (hit_matrix <= _NINE)
     bad_digit = (in_token & ~digit_ok).any(axis=1)
     if bad_digit.any():
         if not quarantine:
-            i = int(np.nonzero(bad_digit)[0][0])
-            token = bytes(raw[hit_starts[i] : hit_ends[i]])
+            i = int(np.flatnonzero(bad_digit)[0])
+            token = bytes(raw[starts[i] : ends[i]])
             raise _error(
                 path,
                 int(entry_lines[i]),
                 f"bad hit count {token.decode('utf-8', errors='replace')!r}",
             )
         assert report is not None
-        for i in np.nonzero(bad_digit & ~bad_rows)[0]:
-            token = bytes(raw[hit_starts[i] : hit_ends[i]])
+        for i in np.flatnonzero(bad_digit & ~bad_rows):
+            token = bytes(raw[starts[i] : ends[i]])
             report.line_fault(
                 path,
                 int(entry_lines[i]),
@@ -420,59 +411,80 @@ def _parse_log_bytes(
             )
         bad_rows |= bad_digit
     digits = (hit_matrix - _ZERO).astype(np.uint64)
-    hits = np.zeros(hit_lengths.shape[0], dtype=np.uint64)
+    hits = np.zeros(lengths.shape[0], dtype=np.uint64)
     for column in range(hit_matrix.shape[1]):
-        active = column < hit_lengths
+        active = column < lengths
         hits = np.where(active, hits * np.uint64(10) + digits[:, column], hits)
-    if slow_hits.any():
-        for i in np.nonzero(slow_hits)[0]:
-            if bad_rows[i]:
-                continue
-            token = bytes(raw[hit_starts[i] : hit_ends[i]]).decode(
-                "utf-8", errors="replace"
-            )
-            fault: Optional[str] = None
-            if any(not ("0" <= ch <= "9") for ch in token):
-                fault = f"bad hit count {token!r}"
-            elif int(token) > _UINT64_MAX:
-                fault = f"hit count exceeds 64 bits: {token!r}"
-            if fault is not None:
-                if not quarantine:
-                    raise _error(path, int(entry_lines[i]), fault)
-                assert report is not None
-                report.line_fault(path, int(entry_lines[i]), "bad-hit-count", token)
-                bad_rows[i] = True
-                continue
-            hits[i] = int(token)
+    for i in np.flatnonzero(slow_hits):
+        if bad_rows[i]:
+            continue
+        token = bytes(raw[starts[i] : ends[i]]).decode("utf-8", errors="replace")
+        fault: Optional[str] = None
+        if any(not ("0" <= ch <= "9") for ch in token):
+            fault = f"bad hit count {token!r}"
+        elif int(token) > _UINT64_MAX:
+            fault = f"hit count exceeds 64 bits: {token!r}"
+        if fault is not None:
+            if not quarantine:
+                raise _error(path, int(entry_lines[i]), fault)
+            assert report is not None
+            report.line_fault(path, int(entry_lines[i]), "bad-hit-count", token)
+            bad_rows[i] = True
+            continue
+        hits[i] = int(token)
+    return hits
 
-    if quarantine and bad_rows.any():
+
+def _parse_log_bytes(
+    data: bytes,
+    path: str,
+    errors: str = ERRORS_STRICT,
+    report: Optional[QuarantineReport] = None,
+) -> _Columns:
+    """Columnar day-log parse: returns (day, hi, lo, hits) merged+sorted.
+
+    Four stages: tokenize (:func:`_entry_spans`), addresses
+    (:func:`_address_column`), hit counts (:func:`_hit_column`) and the
+    merge (:func:`repro.data.store.merge_halves`), skipped when the
+    log is already canonical.  With ``errors="quarantine"``, malformed
+    entry lines are recorded in ``report`` and dropped instead of
+    raising; the surviving rows merge and sort exactly as in strict
+    mode.
+    """
+    quarantine = errors == ERRORS_QUARANTINE
+    if quarantine and report is None:
+        report = QuarantineReport()
+    raw = np.frombuffer(data, dtype=np.uint8)
+    day, address_starts, address_ends, hit_starts, hit_ends, entry_lines = (
+        _entry_spans(raw, path, quarantine, report)
+    )
+    if address_starts.shape[0] == 0:
+        no_rows = np.empty(0, dtype=np.uint64)
+        return day, no_rows, no_rows.copy(), no_rows.copy()
+    hi, lo, bad_rows = _address_column(
+        raw, address_starts, address_ends, entry_lines, path, quarantine, report
+    )
+    hits = _hit_column(
+        raw, hit_starts, hit_ends, entry_lines, bad_rows, path, quarantine, report
+    )
+    if bad_rows.any():
         good = ~bad_rows
         hi, lo, hits = hi[good], lo[good], hits[good]
-        if hi.shape[0] == 0:
-            return (day, *empty[1:])
 
-    # --- merge duplicates, sort ---
     # Logs written by save_store are already sorted and unique; detect
-    # that with a few vectorized passes and skip the O(n log n) sort.
+    # that with one vectorized pass and skip the O(n log n) merge.
     if strictly_increasing(hi, lo):
         return day, hi, lo, hits
-
-    from repro.data import store as obstore
-
-    entries = np.empty(hi.shape[0], dtype=obstore.ADDRESS_DTYPE)
-    entries["hi"] = hi
-    entries["lo"] = lo
-    unique, inverse = np.unique(entries, return_inverse=True)
-    summed = np.zeros(unique.shape[0], dtype=np.uint64)
-    np.add.at(summed, inverse, hits)
-    return day, unique["hi"].copy(), unique["lo"].copy(), summed
+    hi, lo, merged_hits = merge_halves(hi, lo, hits)
+    assert merged_hits is not None
+    return day, hi, lo, merged_hits
 
 
 def read_daily_log_arrays(
     path: str,
     errors: str = ERRORS_STRICT,
     report: Optional[QuarantineReport] = None,
-) -> Tuple[Optional[int], np.ndarray, np.ndarray, np.ndarray]:
+) -> _Columns:
     """Columnar fast path: read a day log straight into uint64 arrays.
 
     Returns ``(day, hi, lo, hits)`` with addresses sorted, deduplicated,
@@ -493,10 +505,7 @@ def read_daily_log_arrays(
 _DayTask = Tuple[str, Optional[str], str, Optional[Tuple[str, Optional[str]]]]
 
 #: A worker's answer: (payload or None for a lost day, delta report).
-_DayResult = Tuple[
-    Optional[Tuple[Optional[int], np.ndarray, np.ndarray, np.ndarray]],
-    Optional[QuarantineReport],
-]
+_DayResult = Tuple[Optional[_Columns], Optional[QuarantineReport]]
 
 
 def _load_day_task(task: _DayTask) -> _DayResult:

@@ -49,26 +49,49 @@ def day_date(day: int) -> datetime.date:
     return _EPOCH + datetime.timedelta(days=int(day))
 
 
-def _raw_from_ints(addresses: Iterable[int]) -> np.ndarray:
-    """Bulk-convert integer addresses to an (unsorted) structured array."""
-    hi, lo = batchparse.ints_to_halves(addresses)
-    raw = np.empty(hi.shape[0], dtype=ADDRESS_DTYPE)
-    raw["hi"] = hi
-    raw["lo"] = lo
-    return raw
+def _pack_halves(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Pack uint64 halves into an address array as they are (no sort)."""
+    array = np.empty(np.shape(hi)[0], dtype=ADDRESS_DTYPE)
+    array["hi"] = hi
+    array["lo"] = lo
+    return array
+
+
+def merge_halves(
+    hi: np.ndarray, lo: np.ndarray, hits: "Optional[np.ndarray]" = None
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Sort ``(hi, lo)`` pairs, keep each distinct pair once, sum its hits.
+
+    The one merge of the data layer: a ``lexsort`` orders the pairs by
+    their 128-bit value, the first row of each run of equal pairs is
+    kept, and ``hits`` (when given) are summed per run with
+    ``np.add.reduceat``, wrapping modulo 2**64 like any uint64 sum.
+    Returns ``(hi, lo, hits)``; ``hits`` is None when none were given.
+    """
+    order = np.lexsort((lo, hi))
+    hi, lo = hi[order], lo[order]
+    first = np.ones(hi.shape[0], dtype=bool)
+    first[1:] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])
+    runs = np.flatnonzero(first)
+    summed = None
+    if hits is not None:
+        summed = np.add.reduceat(
+            np.asarray(hits, dtype=np.uint64)[order], runs, dtype=np.uint64
+        )
+    return hi[runs], lo[runs], summed
 
 
 def to_array(addresses: Iterable[int]) -> np.ndarray:
     """Build a sorted, deduplicated address array from integer addresses."""
-    return np.unique(_raw_from_ints(addresses))
+    return halves_to_array(*batchparse.ints_to_halves(addresses))
 
 
 def halves_to_array(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     """Build a sorted, deduplicated address array from uint64 halves."""
-    raw = np.empty(np.shape(hi)[0], dtype=ADDRESS_DTYPE)
-    raw["hi"] = hi
-    raw["lo"] = lo
-    return np.unique(raw)
+    hi, lo, _hits = merge_halves(
+        np.asarray(hi, dtype=np.uint64), np.asarray(lo, dtype=np.uint64)
+    )
+    return _pack_halves(hi, lo)
 
 
 def from_array(array: np.ndarray) -> List[int]:
@@ -113,7 +136,10 @@ def union_many(arrays: Sequence[np.ndarray]) -> np.ndarray:
     """Union of any number of address arrays (empty input gives empty set)."""
     if not arrays:
         return np.empty(0, dtype=ADDRESS_DTYPE)
-    return np.unique(np.concatenate(arrays))
+    return halves_to_array(
+        np.concatenate([array["hi"] for array in arrays]),
+        np.concatenate([array["lo"] for array in arrays]),
+    )
 
 
 def strictly_increasing(hi: np.ndarray, lo: np.ndarray) -> bool:
@@ -176,7 +202,8 @@ def truncate_array(array: np.ndarray, prefix_len: int) -> np.ndarray:
     )
     if canonical:
         return _truncate_canonical(array, prefix_len)
-    return np.unique(_masked(array, prefix_len))
+    masked = _masked(array, prefix_len)
+    return halves_to_array(masked["hi"], masked["lo"])
 
 
 class DailyObservations:
@@ -193,19 +220,14 @@ class DailyObservations:
         hits: Optional[Iterable[int]] = None,
     ) -> None:
         self.day = int(day)
-        raw = _raw_from_ints(addresses)
-        if hits is None:
-            self.addresses = np.unique(raw)
-            self.hits = None
-        else:
+        hi, lo = batchparse.ints_to_halves(addresses)
+        hit_list = None
+        if hits is not None:
             hit_list = np.asarray(list(hits), dtype=np.uint64)
-            if hit_list.shape[0] != raw.shape[0]:
+            if hit_list.shape[0] != hi.shape[0]:
                 raise ValueError("hits must parallel addresses")
-            unique, inverse = np.unique(raw, return_inverse=True)
-            summed = np.zeros(unique.shape[0], dtype=np.uint64)
-            np.add.at(summed, inverse, hit_list)
-            self.addresses = unique
-            self.hits = summed
+        hi, lo, self.hits = merge_halves(hi, lo, hit_list)
+        self.addresses = _pack_halves(hi, lo)
 
     @classmethod
     def from_array(cls, day: int, array: np.ndarray) -> "DailyObservations":
@@ -235,30 +257,17 @@ class DailyObservations:
         """
         instance = cls.__new__(cls)
         instance.day = int(day)
-        if merged:
-            array = np.empty(np.shape(hi)[0], dtype=ADDRESS_DTYPE)
-            array["hi"] = hi
-            array["lo"] = lo
-            instance.addresses = array
-            instance.hits = (
-                None if hits is None else np.asarray(hits, dtype=np.uint64)
+        hit_array = None if hits is None else np.asarray(hits, dtype=np.uint64)
+        if not merged:
+            if hit_array is not None and hit_array.shape[0] != np.shape(hi)[0]:
+                raise ValueError("hits must parallel addresses")
+            hi, lo, hit_array = merge_halves(
+                np.asarray(hi, dtype=np.uint64),
+                np.asarray(lo, dtype=np.uint64),
+                hit_array,
             )
-            return instance
-        raw = np.empty(np.shape(hi)[0], dtype=ADDRESS_DTYPE)
-        raw["hi"] = hi
-        raw["lo"] = lo
-        if hits is None:
-            instance.addresses = np.unique(raw)
-            instance.hits = None
-            return instance
-        hit_array = np.asarray(hits, dtype=np.uint64)
-        if hit_array.shape[0] != raw.shape[0]:
-            raise ValueError("hits must parallel addresses")
-        unique, inverse = np.unique(raw, return_inverse=True)
-        summed = np.zeros(unique.shape[0], dtype=np.uint64)
-        np.add.at(summed, inverse, hit_array)
-        instance.addresses = unique
-        instance.hits = summed
+        instance.addresses = _pack_halves(hi, lo)
+        instance.hits = hit_array
         return instance
 
     def __len__(self) -> int:
@@ -360,12 +369,9 @@ class ObservationStore:
                 int(name[3:]) for name in data.files if name.startswith("hi_")
             )
             for day in days:
-                hi = data[f"hi_{day}"]
-                lo = data[f"lo_{day}"]
-                array = np.empty(hi.shape[0], dtype=ADDRESS_DTYPE)
-                array["hi"] = hi
-                array["lo"] = lo
-                observations = DailyObservations.from_array(day, array)
+                observations = DailyObservations.from_array(
+                    day, _pack_halves(data[f"hi_{day}"], data[f"lo_{day}"])
+                )
                 hits_key = f"hits_{day}"
                 if hits_key in data.files:
                     observations.hits = data[hits_key]

@@ -9,25 +9,34 @@ arrays at once, and back.
 
 The fast path handles every colon-separated hexadecimal form — canonical
 RFC 5952 output, fixed-width ``format_full`` output, and any mix of
-upper/lower case, leading zeros and a single ``::`` compression — with a
-handful of vectorized passes over an ``(n, width)`` byte matrix:
+upper/lower case, leading zeros and a single ``::`` compression.  Its
+kernel, :func:`parse_spans`, reads the tokens in place in one byte
+buffer (a whole day log, or a column of strings joined into one), given
+each token's ``(start, end)``:
 
-1. encode the column into a fixed-width byte matrix (one C-level copy);
-2. classify every byte (hex digit value / colon / padding) with a LUT;
-3. validate structure per row (colon counts, run lengths, ``::`` rules)
-   into a *fast-path eligibility mask*;
-4. for eligible rows, compute each hex digit's group index (accounting
-   for the groups elided by ``::``) and its significance within the
-   group, scatter digits into an ``(n, 32)`` nibble matrix, and combine
-   nibbles into the two 64-bit halves.
+1. one lookup-table pass classifies every byte of the buffer (hex digit
+   value / colon / bad byte);
+2. the positions of colons and bad bytes are taken with ``flatnonzero``;
+3. per token, ``searchsorted`` gives its colon count, its first colon
+   and whether it holds a bad byte;
+4. the token's colons give an ``(n, 9)`` *slot matrix*: the end and
+   length of each colon-separated field;
+5. the structural rules (groups of at most 4 digits, a leading or
+   trailing colon only as half of ``::``, exactly one ``::``, group
+   counts) are checked in slot space into a *fast-path eligibility
+   mask*;
+6. each group's value is read as one little-endian ``uint32`` word
+   ending at its last digit, masked to the group's length and folded
+   into 16 bits, then scattered into an ``(n, 8)`` big-endian matrix
+   whose rows are the two 64-bit halves.
 
 Rows that are not eligible — embedded dotted-quad IPv4, surrounding
-whitespace, zone identifiers, non-ASCII text, or anything malformed —
-fall back to the scalar :func:`repro.net.addr.parse`, which either
-handles the exotic notation or raises the same :class:`AddressError` a
-scalar caller would see.  The batch functions are therefore bit-for-bit
-consistent with their scalar counterparts on both accepted and rejected
-inputs.
+whitespace, NUL bytes, zone identifiers, non-ASCII text, tokens over
+48 bytes, or anything malformed — fall back to the scalar
+:func:`repro.net.addr.parse`, which either handles the exotic notation
+or raises the same :class:`AddressError` a scalar caller would see.
+The batch functions are therefore bit-for-bit consistent with their
+scalar counterparts on both accepted and rejected inputs.
 
 :func:`format_batch` is the vectorized inverse: it emits canonical
 RFC 5952 strings (longest zero run compressed, leftmost on ties,
@@ -45,24 +54,40 @@ import numpy as np
 from repro.net import addr
 from repro.net.addr import AddressError
 
-#: Hex-digit value per byte; 0xFF marks "not a hex digit".
-_HEXVAL = np.full(256, 0xFF, dtype=np.uint8)
-for _ch in "0123456789":
-    _HEXVAL[ord(_ch)] = int(_ch)
-for _i, _ch in enumerate("abcdef"):
-    _HEXVAL[ord(_ch)] = 10 + _i
-    _HEXVAL[ord(_ch.upper())] = 10 + _i
+#: Per-byte class, as a ``bytes.translate`` table: a hex digit's value
+#: (0-15), ``_COLON_CLASS`` for ``:``, and ``_BAD`` for every other byte
+#: (NUL, whitespace, ``.``, ``%``, non-ASCII, ...), which sends its token
+#: to the scalar parser.
+_COLON_CLASS = 0x10
+_BAD = 0xFF
+_classes = bytearray([_BAD] * 256)
+for _value, _ch in enumerate("0123456789abcdef"):
+    _classes[ord(_ch)] = _classes[ord(_ch.upper())] = _value
+_classes[ord(":")] = _COLON_CLASS
+_CLASS_TABLE = bytes(_classes)
 
 _COLON = ord(":")
 _HEXCHARS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
 
-#: Longest string the matrix fast path will consider.  Valid presentation
+#: Longest token the span kernel will consider.  Valid presentation
 #: forms are at most 45 characters; anything longer is exotic by
 #: definition and goes through the scalar parser.
 _MAX_WIDTH = 48
 
-_LOW64 = np.uint64(0xFFFFFFFFFFFFFFFF)
+#: A fast-path token has at most 8 colons (``::1:2:3:4:5:6:7``), so at
+#: most 9 colon-separated fields: the columns of the slot matrix.
+_SLOTS = np.arange(9, dtype=np.int8)
 
+#: Every group's value is read as the 4-byte word that ends at its last
+#: digit; the class buffer starts with this many padding bytes so the
+#: word of a short group at byte 0 never reads before the buffer.
+_LOOKBEHIND = 4
+
+#: Per group length 0-4: the bytes of its little-endian word that are
+#: the group's own digits (the high end of the word).
+_KEEP_DIGITS = np.array(
+    [0, 0xFF000000, 0xFFFF0000, 0xFFFFFF00, 0xFFFFFFFF], dtype=np.uint32
+)
 
 def _as_text_list(strings: "Iterable[str]") -> List[str]:
     if isinstance(strings, list):
@@ -83,170 +108,129 @@ def _scalar_fill(
         lo[i] = value & addr.IID_MASK
 
 
-def _byte_matrix(texts: Sequence[str]) -> "np.ndarray | None":
-    """Encode a list of ASCII strings into an (n, width) uint8 matrix.
+def parse_spans(
+    raw: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized parse of the address tokens ``raw[starts[i]:ends[i]]``.
 
-    Returns None when the column cannot be represented (non-str entries,
-    non-ASCII characters, or absurdly long strings), in which case every
-    row takes the scalar path.
+    ``raw`` is a uint8 buffer (a whole day log, or a joined column of
+    strings) and every span lies inside it.  Returns ``(hi, lo,
+    fast_mask)``; rows where ``fast_mask`` is False were not parsed
+    (left zero) and must be handled by the scalar parser.  This is the
+    building block :func:`parse_batch` and the day-log reader share.
     """
-    if not all(type(t) is str for t in texts):
-        return None
-    try:
-        raw = np.array(texts, dtype=np.bytes_)
-    except (UnicodeEncodeError, ValueError):
-        return None
-    width = raw.dtype.itemsize
-    if width == 0 or width > _MAX_WIDTH:
-        return None
-    return raw.view(np.uint8).reshape(len(texts), width)
-
-
-def _analyze(texts: Sequence[str]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized core over a list of strings: returns (hi, lo, fast_mask).
-
-    Rows where ``fast_mask`` is False are untouched (left zero) and must
-    be handled by the scalar parser.
-    """
-    n = len(texts)
-    if n == 0:
-        empty = np.zeros(0, dtype=np.uint64)
-        return empty, empty.copy(), np.zeros(0, dtype=bool)
-    matrix = _byte_matrix(texts)
-    if matrix is None:
-        zeros = np.zeros(n, dtype=np.uint64)
-        return zeros, zeros.copy(), np.zeros(n, dtype=bool)
-    return parse_matrix(matrix)
-
-
-def parse_matrix(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized parse of an ``(n, width)`` uint8 matrix of address bytes.
-
-    Each row holds one NUL-padded ASCII presentation string.  Returns
-    ``(hi, lo, fast_mask)``; rows where ``fast_mask`` is False were not
-    parsed (left zero) and must be handled by the scalar parser — this
-    is the building block :func:`parse_batch` and the day-log reader
-    share, letting file ingestion feed raw bytes straight in.
-    """
-    n, width = matrix.shape
+    n = starts.shape[0]
     hi = np.zeros(n, dtype=np.uint64)
     lo = np.zeros(n, dtype=np.uint64)
-    if n == 0 or width == 0 or width > _MAX_WIDTH:
-        return hi, lo, np.zeros(n, dtype=bool)
+    fast = np.zeros(n, dtype=bool)
+    padded = bytearray(_LOOKBEHIND + raw.shape[0])
+    padded[_LOOKBEHIND:] = np.ascontiguousarray(raw, dtype=np.uint8).data
+    classes = np.frombuffer(padded.translate(_CLASS_TABLE), dtype=np.uint8)
+    body = classes[_LOOKBEHIND:]
+    # Sentinels at the buffer's end keep every lookup below in range.
+    colons = np.append(
+        np.flatnonzero(body == _COLON_CLASS), np.full(_SLOTS.shape[0], raw.shape[0])
+    )
+    bad = np.append(np.flatnonzero(body == _BAD), raw.shape[0])
 
-    hexval = _HEXVAL[matrix]
-    is_colon = matrix == _COLON
-    is_hex = hexval != 0xFF
-    is_pad = matrix == 0
+    # Per token: no bad byte, 2-8 colons, at most _MAX_WIDTH bytes.
+    first_colon = np.searchsorted(colons, starts)
+    n_colons = np.searchsorted(colons, ends) - first_colon
+    clean = bad[np.searchsorted(bad, starts)] >= ends
+    rows = np.flatnonzero(
+        clean
+        & (n_colons >= 2)
+        & (n_colons < _SLOTS.shape[0])
+        & (ends - starts <= _MAX_WIDTH)
+    )
+    if rows.shape[0] == 0:
+        return hi, lo, fast
+    k = n_colons[rows]
+    k_col = k[:, None]
 
-    # Padding (NUL bytes) must form a contiguous suffix; an embedded NUL
-    # means the Python string itself contained one.
-    if width > 1:
-        pad_suffix = np.all(is_pad[:, :-1] <= is_pad[:, 1:], axis=1)
-    else:
-        pad_suffix = np.ones(n, dtype=bool)
-    strlen = width - is_pad.sum(axis=1)
-    chars_ok = np.all(is_hex | is_colon | is_pad, axis=1)
+    # Slot matrix: field j ends at the token's j-th colon or at the token's
+    # end, whichever comes first (colons past the token's last belong to
+    # later tokens, or are the sentinels).  Slots past the last field
+    # (j > k) get length -1, which no rule below counts and whose word
+    # is masked to zero.
+    window = np.lib.stride_tricks.sliding_window_view(colons, _SLOTS.shape[0])
+    slot_end = np.minimum(window[first_colon[rows]], ends[rows][:, None])
+    length = np.empty_like(slot_end)
+    length[:, 0] = slot_end[:, 0] - starts[rows]
+    np.subtract(slot_end[:, 1:], slot_end[:, :-1] + 1, out=length[:, 1:])
 
-    k = is_colon.sum(axis=1)
-    if width > 1:
-        adjacent = is_colon[:, :-1] & is_colon[:, 1:]
-        n_adjacent = adjacent.sum(axis=1)
-    else:
-        adjacent = np.zeros((n, 0), dtype=bool)
-        n_adjacent = np.zeros(n, dtype=np.intp)
-
-    # A hex run of five or more digits can never be a 16-bit group.
-    if width >= 5:
-        run5 = is_hex[:, : width - 4].copy()
-        for offset in range(1, 5):
-            run5 &= is_hex[:, offset : width - 4 + offset]
-        too_long = run5.any(axis=1)
-    else:
-        too_long = np.zeros(n, dtype=bool)
-
-    rows = np.arange(n)
-    nonempty = strlen > 0
-    safe_len = np.maximum(strlen, 1)
-    last_colon = matrix[rows, safe_len - 1] == _COLON
-    prev_colon = matrix[rows, np.maximum(safe_len - 2, 0)] == _COLON
-    trail_ok = ~last_colon | ((strlen >= 2) & prev_colon)
-    if width > 1:
-        lead_ok = ~is_colon[:, 0] | is_colon[:, 1]
-    else:
-        lead_ok = ~is_colon[:, 0]
-
-    # Number of hex runs = number of groups actually present.
-    run_start = is_hex.copy()
-    if width > 1:
-        run_start[:, 1:] &= ~is_hex[:, :-1]
-    runs = run_start.sum(axis=1)
-
-    compressed = n_adjacent == 1
-    uncompressed = n_adjacent == 0
-    fast = (
-        chars_ok
-        & pad_suffix
-        & ~too_long
+    # The structural rules, in slot space: groups of at most 4 digits;
+    # a leading or trailing colon only as half of '::'; either no '::'
+    # and 8 groups, or exactly one '::' (an empty interior field) and at
+    # most 7 groups.
+    empty = length == 0
+    present = length > 0
+    pair = empty & (_SLOTS >= 1) & (_SLOTS < k_col)
+    n_pairs = pair.sum(axis=1)
+    n_groups = present.sum(axis=1)
+    row_index = np.arange(rows.shape[0])
+    lead_ok = ~empty[:, 0] | empty[:, 1]
+    trail_ok = ~empty[row_index, k] | empty[row_index, k - 1]
+    ok = (
+        (length <= 4).all(axis=1)
         & lead_ok
         & trail_ok
-        & nonempty
         & (
-            (uncompressed & (k == 7) & (runs == 8))
-            | (compressed & (runs <= 7))
+            ((n_pairs == 0) & (k == 7) & (n_groups == 8))
+            | ((n_pairs == 1) & (n_groups <= 7))
         )
     )
-    if not fast.any():
-        return hi, lo, fast
 
-    # Exclusive running colon count: for each character, how many colons
-    # lie strictly before it.  This is the "naive" group index.
-    colon_before = np.cumsum(is_colon, axis=1, dtype=np.int16)
-    colon_before -= is_colon
+    # Group index: fields right of the '::' move right by the 7 - k
+    # groups it elides (0 on uncompressed rows).
+    shift = (7 - k_col).astype(np.int8)
+    group = _SLOTS + (_SLOTS > pair.argmax(axis=1)[:, None]) * shift
 
-    # Characters after the '::' belong to right-aligned groups: shift
-    # their group index up by the number of elided groups.  For a row
-    # with k colons in total, that shift is 7 - k.  (Values on rows that
-    # fail the fast mask may be nonsense; they are never scattered.)
-    gidx = colon_before
-    if width > 1:
-        pair_pos = np.argmax(adjacent, axis=1)
-        colons_before_pair = colon_before[rows, pair_pos]
-        after_pair = colon_before >= (colons_before_pair + 2)[:, None]
-        after_pair &= compressed[:, None]
-        shift = (7 - k).astype(np.int16)
-        gidx = gidx + np.where(after_pair, shift[:, None], np.int16(0))
+    # Each group is the little-endian word whose last byte is the
+    # group's last digit; keep the group's own bytes and fold its four
+    # nibbles (most significant digit in the lowest byte) into 16 bits.
+    words = np.ndarray(
+        (classes.shape[0] - 3,), dtype="<u4", buffer=classes, strides=(1,)
+    )
+    word = words[slot_end] & _KEEP_DIGITS.take(length, mode="clip")
+    value = (
+        (word >> np.uint32(24))
+        | ((word >> np.uint32(12)) & np.uint32(0xF0))
+        | (word & np.uint32(0xF00))
+        | ((word << np.uint32(12)) & np.uint32(0xF000))
+    )
 
-    # Distance from each hex digit to the end of its run gives its
-    # significance: the last digit of a group has distance 1.  Computed
-    # with the cumsum-minus-running-max trick on the reversed matrix so
-    # every pass is along the contiguous axis.
-    rev = is_hex[:, ::-1]
-    csum = np.cumsum(rev, axis=1, dtype=np.int16)
-    resets = np.where(rev, np.int16(0), csum)
-    np.maximum.accumulate(resets, axis=1, out=resets)
-    dist = (csum - resets)[:, ::-1]
-
-    nib = gidx * np.int16(4) + np.int16(4) - dist
-    select = is_hex & fast[:, None]
-    out_of_range = select & ((nib < 0) | (nib > 31))
-    if out_of_range.any():  # defensive: demote any surprises to scalar
-        fast = fast & ~out_of_range.any(axis=1)
-        select = is_hex & fast[:, None]
-
-    nibbles = np.zeros((n, 32), dtype=np.uint8)
-    row_of = np.broadcast_to(rows[:, None], select.shape)
-    nibbles[row_of[select], nib[select]] = hexval[select]
-
-    # Pack nibble pairs into bytes, then reinterpret each row's 16 bytes
-    # as two big-endian uint64 halves.
-    packed = (nibbles[:, 0::2] << 4) | nibbles[:, 1::2]
-    halves = np.ascontiguousarray(packed).view(">u8")
-    hi = halves[:, 0].astype(np.uint64)
-    lo = halves[:, 1].astype(np.uint64)
-    hi[~fast] = 0
-    lo[~fast] = 0
+    # Scatter the present groups into an (n, 8) big-endian uint16 matrix
+    # (a present field's group index is 0-7 on any row, well-formed or
+    # not; every other slot writes to one spare element past the end);
+    # each row's 16 bytes are then the two big-endian halves.
+    size = 8 * rows.shape[0]
+    flat = np.where(present, np.arange(0, size, 8)[:, None] + group, size)
+    groups = np.zeros(size + 1, dtype=">u2")
+    groups[flat] = value
+    halves = groups[:size].view(">u8").reshape(-1, 2)[ok]
+    parsed = rows[ok]
+    hi[parsed] = halves[:, 0]
+    lo[parsed] = halves[:, 1]
+    fast[parsed] = True
     return hi, lo, fast
+
+
+def _parse_texts(texts: Sequence[str]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`parse_spans` over a list of strings joined into one buffer.
+
+    Non-ASCII characters become ``?`` (a bad byte, so their rows go to
+    the scalar parser); a column holding any non-str leaves every row
+    to it.
+    """
+    n = len(texts)
+    if not all(type(t) is str for t in texts):
+        zeros = np.zeros(n, dtype=np.uint64)
+        return zeros, zeros.copy(), np.zeros(n, dtype=bool)
+    joined = "".join(texts).encode("ascii", errors="replace")
+    lengths = np.fromiter(map(len, texts), dtype=np.int64, count=n)
+    ends = np.cumsum(lengths)
+    return parse_spans(np.frombuffer(joined, dtype=np.uint8), ends - lengths, ends)
 
 
 def fastpath_mask(strings: "Iterable[str]") -> np.ndarray:
@@ -256,7 +240,7 @@ def fastpath_mask(strings: "Iterable[str]") -> np.ndarray:
     (nearly) all-True here, otherwise parsing silently degrades to the
     scalar fallback.
     """
-    _hi, _lo, fast = _analyze(_as_text_list(strings))
+    _hi, _lo, fast = _parse_texts(_as_text_list(strings))
     return fast
 
 
@@ -271,7 +255,7 @@ def parse_batch(strings: "Iterable[str]") -> Tuple[np.ndarray, np.ndarray]:
             scalar parser; the first offending element wins).
     """
     texts = _as_text_list(strings)
-    hi, lo, fast = _analyze(texts)
+    hi, lo, fast = _parse_texts(texts)
     if not fast.all():
         _scalar_fill(texts, np.nonzero(~fast)[0], hi, lo)
     return hi, lo

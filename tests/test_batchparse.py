@@ -8,10 +8,12 @@ vectorized fast path or the scalar fallback.
 """
 
 import random
+import tempfile
 
 import numpy as np
 import pytest
 
+from repro.data import logfile
 from repro.net import addr, batchparse
 from repro.net.addr import AddressError
 
@@ -66,6 +68,8 @@ MALFORMED_CASES = [
     ":1:2:3:4:5:6:7",
     "1:2:3:4:5:6:7:",
     "٣::1",            # non-ASCII digit
+    "2001:db8::1\x00",  # a NUL is a byte of the token, not padding
+    "::\x00",
 ]
 
 EDGE_VALUES = [
@@ -134,6 +138,177 @@ class TestAgainstScalarReference:
         full = [addr.format_full(v) for v in values]
         assert batchparse.fastpath_mask(canonical).all()
         assert batchparse.fastpath_mask(full).all()
+
+
+#: Tokens at the span kernel's limits: the most colons a fast row can
+#: have, '::' at either end or alone, stray single colons, 5-digit
+#: groups, upper case, embedded IPv4 (scalar fallback) and tokens past
+#: the 48-byte cap.
+LIMIT_CASES = [
+    "::1:2:3:4:5:6:7",
+    "1:2:3:4:5:6:7::",
+    "::",
+    "1::",
+    "::1",
+    ":1::",
+    "::1:",
+    ":1:2:3:4:5:6:7:8",
+    "1:2:3:4:5:6:7:8:",
+    "::1:2:3:4:5:6:7:8",
+    "1:2:3:4:5:6:7:8::",
+    "12345::1",
+    "1::12345",
+    "01234:1:2:3:4:5:6:7",
+    "ABCD:EF01:2345:6789:abcd:ef01:2345:6789",
+    "::FfFf:AbC",
+    "::ffff:192.0.2.1",
+    "1:2:3:4:5:6:1.2.3.4",
+    "0000:0000:0000:0000:0000:0000:0000:0001" + "0" * 10,
+    "0" * 49,
+    "::" + "0" * 47,
+]
+
+#: Bytes that must send a token to the scalar parser.
+JUNK = ["\x00", " ", "\t", ".", "%", "g", "G", "/", "é", "\x7f"]
+
+
+def _scalar_or_error(text):
+    try:
+        return addr.parse(text)
+    except AddressError:
+        return None
+
+
+def _assert_matches_scalar(texts):
+    """parse_batch agrees with addr.parse on accept, value and reject."""
+    expected = [_scalar_or_error(t) for t in texts]
+    fast = batchparse.fastpath_mask(texts)
+    for text, want, is_fast in zip(texts, expected, fast):
+        if is_fast:  # the kernel only ever accepts valid addresses
+            assert want is not None, text
+        if want is None:
+            with pytest.raises(AddressError):
+                batchparse.parse_batch([text])
+        else:
+            assert batchparse.parse_batch_ints([text]) == [want], text
+    if all(want is not None for want in expected):
+        assert batchparse.parse_batch_ints(texts) == expected
+    else:
+        with pytest.raises(AddressError):
+            batchparse.parse_batch(texts)
+
+
+class TestKernelLimits:
+    @pytest.mark.parametrize("text", LIMIT_CASES)
+    def test_limit_case_matches_scalar(self, text):
+        _assert_matches_scalar([text])
+        _assert_matches_scalar(["::1", text, "2001:db8::"])
+
+    def test_limit_forms_take_the_fast_path(self):
+        texts = ["::1:2:3:4:5:6:7", "1:2:3:4:5:6:7::", "::", "1::", "::FfFf:AbC"]
+        assert batchparse.fastpath_mask(texts).all()
+        rejected = ["12345::1", ":1::", "::1:", "0" * 49, "::ffff:192.0.2.1"]
+        assert not batchparse.fastpath_mask(rejected).any()
+
+    def test_short_group_at_byte_zero(self, tmp_path):
+        # A headerless log whose first token is a 1-digit group at byte 0
+        # reads its word across the 4-byte look-behind; the last line has
+        # no newline.
+        path = tmp_path / "day.txt"
+        path.write_bytes(b"1::2 3\n::f 4\nf:: 5")
+        day, hi, lo, hits = logfile.read_daily_log_arrays(str(path))
+        values = [addr.parse(t) for t in ("::f", "1::2", "f::")]
+        assert day is None
+        assert batchparse.halves_to_ints(hi, lo) == values
+        assert hits.tolist() == [4, 3, 5]
+
+
+if HAVE_HYPOTHESIS:
+
+    @st.composite
+    def address_tokens(draw, junk=tuple(JUNK)):
+        """A valid address text, or one with a defect near the kernel's rules.
+
+        A canonical or full-form address (random case) is left as it is,
+        or gets one colon or hex digit inserted or one character deleted,
+        a junk byte, an IPv4 tail, or is replaced by free colon/hex text.
+        """
+        value = draw(
+            st.one_of(
+                st.integers(min_value=0, max_value=2**128 - 1),
+                st.sampled_from(EDGE_VALUES),
+            )
+        )
+        text = draw(st.sampled_from([addr.format_address, addr.format_full]))(value)
+        if draw(st.booleans()):
+            text = text.upper()
+        at = draw(st.integers(0, len(text)))
+        mutation = draw(st.integers(0, 9))
+        if mutation == 1:
+            text = text[:at] + ":" + text[at:]
+        elif mutation == 2:
+            text = text[:at] + draw(st.sampled_from("0aF")) + text[at:]
+        elif mutation == 3:
+            text = text[:at] + text[at + 1 :]
+        elif mutation == 4 and junk:
+            text = text[:at] + draw(st.sampled_from(junk)) + text[at:]
+        elif mutation == 5:
+            octets = draw(st.lists(st.integers(0, 300), min_size=3, max_size=5))
+            text = text.rsplit(":", 2)[0] + ":" + ".".join(map(str, octets))
+        elif mutation == 6:
+            groups = draw(
+                st.lists(
+                    st.text(alphabet="0123456789abcdefABCDEF", max_size=5),
+                    max_size=10,
+                )
+            )
+            text = ":".join(groups)
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + draw(st.sampled_from(["", ":", "::"])) + text[at:]
+        return text
+
+    class TestKernelProperties:
+        @settings(max_examples=400, deadline=None)
+        @given(st.lists(address_tokens(), min_size=1, max_size=6))
+        def test_batch_matches_scalar_oracle(self, texts):
+            _assert_matches_scalar(texts)
+
+        @settings(max_examples=150, deadline=None)
+        @given(
+            st.lists(
+                st.tuples(
+                    address_tokens(junk=("\x00", ".", "%", "g", "é")).filter(bool),
+                    st.integers(0, 10**6),
+                ),
+                min_size=1,
+                max_size=12,
+            ),
+            st.booleans(),
+        )
+        def test_headerless_log_matches_scalar_oracle(self, entries, final_newline):
+            # The first address starts at byte 0; the last line may lack
+            # its newline.  Oracle: addr.parse per line, then a dict merge.
+            body = "\n".join(f"{text} {hits}" for text, hits in entries)
+            merged = {}
+            first_bad = None
+            for line, (text, hits) in enumerate(entries, start=1):
+                value = _scalar_or_error(text)
+                if value is None:
+                    first_bad = line
+                    break
+                merged[value] = merged.get(value, 0) + hits
+            with tempfile.TemporaryDirectory() as directory:
+                path = f"{directory}/day.txt"
+                with open(path, "wb") as handle:
+                    handle.write((body + "\n" * final_newline).encode("utf-8"))
+                if first_bad is not None:
+                    with pytest.raises(logfile.LogFormatError, match=f":{first_bad}: "):
+                        logfile.read_daily_log_arrays(path)
+                    return
+                day, hi, lo, hits = logfile.read_daily_log_arrays(path)
+            assert day is None
+            assert batchparse.halves_to_ints(hi, lo) == sorted(merged)
+            assert hits.tolist() == [merged[v] for v in sorted(merged)]
 
 
 class TestRoundTrip:

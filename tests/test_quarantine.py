@@ -12,7 +12,12 @@ import os
 import numpy as np
 import pytest
 
-from repro.data.logfile import load_store, read_daily_log, read_daily_log_arrays
+from repro.data.logfile import (
+    LogFormatError,
+    load_store,
+    read_daily_log,
+    read_daily_log_arrays,
+)
 from repro.runtime.quarantine import (
     ERRORS_QUARANTINE,
     ERRORS_STRICT,
@@ -185,6 +190,64 @@ class TestReaderQuarantine:
         assert (
             scalar_report.line_totals[path] == columnar_report.line_totals[path] == 5
         )
+
+    @pytest.mark.parametrize("address", ["2001:db8::1\x00", "::\x00"])
+    def test_nul_suffixed_address_rejected(self, tmp_path, address):
+        # A NUL is part of the token (only space, tab, CR and LF separate
+        # tokens), and the scalar parser rejects it; both readers agree.
+        path = _write(
+            tmp_path / "day.txt",
+            ["# repro aggregated log day=1", "2001:db8::2 3", f"{address} 5"],
+        )
+        for reader in (read_daily_log, read_daily_log_arrays):
+            with pytest.raises(LogFormatError, match=r"day\.txt:3: "):
+                reader(path)
+            report = QuarantineReport()
+            result = reader(path, errors=ERRORS_QUARANTINE, report=report)
+            assert report.by_rule() == {"bad-address": 1}
+            assert [(r.line, r.excerpt) for r in report.records] == [(3, address)]
+            assert result[0] == 1
+
+    def test_dirty_day_report_is_exact(self, tmp_path):
+        # Faulted lines of every rule (fewer than MAX_RECORDS_PER_RULE
+        # each, so every one is recorded), CRLF endings, a comment line
+        # mid-file and a last line with no newline: each record keeps its
+        # rule, 1-based line number and excerpt.
+        lines = ["# repro aggregated log day=7"]
+        expected = []
+        for i in range(60):
+            lines.append(f"2001:db8::{i + 1:x} {i + 1}")
+            if i % 5 == 0:
+                lines.append(f"orphan-{i}")
+                expected.append(("bad-line-shape", len(lines), f"orphan-{i}"))
+            if i % 7 == 0:
+                lines.append(f"2001:db8::{i:x} 1 extra\r")
+                expected.append(
+                    ("bad-line-shape", len(lines), f"2001:db8::{i:x} 1 extra")
+                )
+            if i % 11 == 0:
+                lines.append(f"2001:db8:::{i:x} 2")
+                expected.append(("bad-address", len(lines), f"2001:db8:::{i:x}"))
+            if i % 13 == 0:
+                lines.append(f"2001:db8::{i:x} {i}x")
+                expected.append(("bad-hit-count", len(lines), f"{i}x"))
+            if i == 30:
+                lines.append("# a comment day=99")
+        lines.append("2001:db8::ffff 1 2")
+        expected.append(("bad-line-shape", len(lines), "2001:db8::ffff 1 2"))
+        path = str(tmp_path / "day.txt")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines))
+        report = QuarantineReport()
+        day, hi, _lo, hits = read_daily_log_arrays(
+            path, errors=ERRORS_QUARANTINE, report=report
+        )
+        assert day == 7
+        assert hi.shape[0] == 60 and int(hits.sum()) == sum(range(1, 61))
+        got = sorted((r.rule, r.line, r.excerpt) for r in report.records)
+        assert got == sorted(expected)
+        assert sum(report.by_rule().values()) == len(expected)
+        assert report.line_totals[path] == len(lines) - 2
 
     def test_strict_mode_is_bit_identical_on_clean_input(self, tmp_path):
         path = _good_day(tmp_path / "day.txt", 1, count=6)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data import store as obstore
 from repro.data.store import DailyObservations, ObservationStore, day_date, day_number
@@ -31,6 +33,74 @@ class TestDayNumbers:
         import datetime
 
         assert day_number(datetime.date(2014, 1, 2)) == 1
+
+
+def _unique_merge_reference(hi, lo, hits):
+    """The merge as the data layer used to spell it: a structured
+    ``np.unique`` plus ``np.add.at`` — the reference for ``merge_halves``."""
+    raw = np.empty(hi.shape[0], dtype=obstore.ADDRESS_DTYPE)
+    raw["hi"] = hi
+    raw["lo"] = lo
+    unique, inverse = np.unique(raw, return_inverse=True)
+    summed = np.zeros(unique.shape[0], dtype=np.uint64)
+    np.add.at(summed, inverse, hits)
+    return unique["hi"], unique["lo"], summed
+
+
+def _assert_merge_matches_reference(hi, lo, hits):
+    hi = np.asarray(hi, dtype=np.uint64)
+    lo = np.asarray(lo, dtype=np.uint64)
+    hits = np.asarray(hits, dtype=np.uint64)
+    got = obstore.merge_halves(hi, lo, hits)
+    want = _unique_merge_reference(hi, lo, hits)
+    for a, b in zip(got, want):
+        assert a.dtype == np.uint64
+        np.testing.assert_array_equal(a, b)
+    got_hi, got_lo, no_hits = obstore.merge_halves(hi, lo)
+    assert no_hits is None
+    np.testing.assert_array_equal(got_hi, want[0])
+    np.testing.assert_array_equal(got_lo, want[1])
+
+
+class TestMergeHalves:
+    TOP = (1 << 64) - 1
+
+    def test_empty(self):
+        _assert_merge_matches_reference([], [], [])
+
+    def test_all_duplicates(self):
+        _assert_merge_matches_reference([7] * 50, [self.TOP] * 50, range(50))
+
+    def test_hit_sums_wrap_modulo_2_64(self):
+        hi, lo, hits = obstore.merge_halves(
+            np.array([1, 0, 1, 1], dtype=np.uint64),
+            np.array([2, 5, 2, 2], dtype=np.uint64),
+            np.array([self.TOP, 4, 3, self.TOP], dtype=np.uint64),
+        )
+        assert hits.tolist() == [4, (2 * self.TOP + 3) % (1 << 64)]
+        _assert_merge_matches_reference(
+            [1, 0, 1, 1], [2, 5, 2, 2], [self.TOP, 4, 3, self.TOP]
+        )
+
+    def test_hi_dominates_lo(self):
+        _assert_merge_matches_reference(
+            [1, 0, self.TOP, 0, 1], [0, self.TOP, 0, self.TOP, 0], [1, 2, 3, 4, 5]
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0, 1, 2**63, (1 << 64) - 1]),
+                st.integers(0, (1 << 64) - 1) | st.sampled_from([0, 1]),
+                st.integers(0, (1 << 64) - 1),
+            ),
+            max_size=80,
+        )
+    )
+    def test_matches_unique_reference(self, rows):
+        columns = list(zip(*rows)) if rows else [(), (), ()]
+        _assert_merge_matches_reference(*columns)
 
 
 class TestArrays:

@@ -4,7 +4,7 @@
 the sort because a day's addresses are canonical (sorted, distinct) and
 prefix masking keeps that order.  These tests hold them byte for byte to
 ``truncate_array`` fed a shuffled copy of the same day — input that is
-not canonical, so it takes the ``np.unique`` path — and to a plain
+not canonical, so it takes the sorting merge — and to a plain
 Python-int reference, at the prefix-length limits and on empty,
 single-address and all-ones days.
 """
