@@ -154,6 +154,13 @@ def _classified(
     return wrapper
 
 
+def _job_count(text: str) -> int:
+    """``--jobs`` value: a worker count, or 0 for all CPUs."""
+    if not text.isdigit():  # negatives and non-integers alike
+        raise argparse.ArgumentTypeError(f"expected a count >= 0, got {text!r}")
+    return int(text)
+
+
 def _common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("logs", nargs="*", help="aggregated daily log files")
     parser.add_argument(
@@ -166,7 +173,7 @@ def _common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="simulation seed")
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=_job_count,
         default=None,
         metavar="N",
         help="load log files with N worker processes (0 = all CPUs)",

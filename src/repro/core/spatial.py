@@ -46,10 +46,11 @@ from repro.core.mra import (
     adjacent_common_prefix_lengths,
     counts_from_lengths,
 )
+from repro.core.sweep import _normalized_days
 from repro.data.store import ObservationStore
 from repro.net import addr
 from repro.net.prefix import check_length
-from repro.runtime.pool import PoolConfig, RunReport, resolve_jobs, run_supervised
+from repro.runtime.pool import PoolConfig, RunReport, resolve_jobs, supervised_map
 from repro.trie.aguri import density_threshold, widen_dense_prefixes
 
 #: Counts are array sizes, far below 2**62; thresholds above this cap can
@@ -333,35 +334,11 @@ def day_spatial_summary(
     )
 
 
-#: Store inherited by forked sweep workers (fork shares the parent's
-#: memory copy-on-write, so day arrays are never pickled to workers).
-_WORKER_STORE: Dict[int, ObservationStore] = {}
-
-
 def _cull_other(array: np.ndarray) -> np.ndarray:
     """The native ("Other") subset of a day array, per the census step."""
     from repro.core.census import other_mask
 
     return array[other_mask(array)]
-
-
-def _sweep_day_task(
-    task: Tuple[Sequence[int], Sequence[object], bool, bool, bool]
-) -> List[SpatialDayResult]:
-    """Pool worker: profile one batch of days against the inherited store."""
-    days, classes, mra, keep_prefixes, cull = task
-    store = _WORKER_STORE[0]
-    results: List[SpatialDayResult] = []
-    for day in days:
-        array = store.array(day)
-        if cull:
-            array = _cull_other(array)
-        results.append(
-            day_spatial_summary(
-                array, classes, day=day, mra=mra, keep_prefixes=keep_prefixes
-            )
-        )
-    return results
 
 
 def sweep_spatial(
@@ -377,56 +354,53 @@ def sweep_spatial(
     """Spatial profile of every requested day of a store.
 
     The spatial mirror of :func:`repro.core.sweep.sweep_days`: one
-    :class:`SpatialDayResult` per day, with ``jobs`` fanning day batches
-    out over supervised fork-based worker processes
-    (:func:`repro.runtime.pool.run_supervised` — ``0`` = all CPUs,
-    ``None``/``1`` = serial; crashed or wedged workers are retried, then
-    re-run serially); results are independent of ``jobs``.
+    :class:`SpatialDayResult` per day.  Batches of days are mapped
+    through one :func:`repro.runtime.pool.supervised_map` call, with
+    ``jobs`` supervised fork-based worker processes (``0`` = all CPUs,
+    ``None``/``1`` = serial, inline; crashed or wedged workers are
+    retried, then re-run serially); the mapped function is a closure
+    over the store, which forked workers inherit copy-on-write, so only
+    the profiles travel back.  Results are independent of ``jobs``.
     ``report_sink`` receives the pool's
-    :class:`repro.runtime.pool.RunReport`.  ``classes`` defaults to the
-    twelve Table 3 classes.  With ``cull=True`` each day is first
-    reduced to its native "Other" subset (the paper's §4.1 hand-off from
-    the census to the classifiers).  Days absent from the store yield
-    empty profiles.
+    :class:`repro.runtime.pool.RunReport` at every ``jobs``.
+    ``classes`` defaults to the twelve Table 3 classes.  With
+    ``cull=True`` each day is first reduced to its native "Other"
+    subset (the paper's §4.1 hand-off from the census to the
+    classifiers).  Days absent from the store yield empty profiles.
     """
     from repro.core.density import TABLE3_CLASSES
 
-    if classes is None:
-        classes = TABLE3_CLASSES
-    if days is None:
-        day_list = observations.days()
-    else:
-        day_list = sorted({int(day) for day in days})
+    density_classes = TABLE3_CLASSES if classes is None else classes
+    day_list = _normalized_days(observations, days)
     if not day_list:
         return []
     workers = min(resolve_jobs(jobs), len(day_list))
-    if workers > 1:
-        batches = [list(batch) for batch in np.array_split(day_list, workers * 4)]
-        tasks = [
-            (batch, tuple(classes), mra, keep_prefixes, cull)
-            for batch in batches
-            if batch
-        ]
-        _WORKER_STORE[0] = observations
-        try:
-            outputs, report = run_supervised(
-                _sweep_day_task,
-                tasks,
-                PoolConfig(jobs=workers, label="spatial-sweep"),
+    batches = [
+        list(batch) for batch in np.array_split(day_list, workers * 4) if len(batch)
+    ]
+
+    def profile(batch: List[int]) -> List[SpatialDayResult]:
+        results: List[SpatialDayResult] = []
+        for day in batch:
+            array = observations.array(day)
+            if cull:
+                array = _cull_other(array)
+            results.append(
+                day_spatial_summary(
+                    array,
+                    density_classes,
+                    day=day,
+                    mra=mra,
+                    keep_prefixes=keep_prefixes,
+                )
             )
-        finally:
-            _WORKER_STORE.clear()
-        if report_sink is not None:
-            report_sink.append(report)
-        return [result for batch_results in outputs for result in batch_results]
-    results: List[SpatialDayResult] = []
-    for day in day_list:
-        array = observations.array(day)
-        if cull:
-            array = _cull_other(array)
-        results.append(
-            day_spatial_summary(
-                array, classes, day=day, mra=mra, keep_prefixes=keep_prefixes
-            )
-        )
-    return results
+        return results
+
+    outputs = supervised_map(
+        profile,
+        batches,
+        jobs=workers,
+        config=PoolConfig(label="spatial-sweep"),
+        report_sink=report_sink,
+    )
+    return [result for batch_results in outputs for result in batch_results]

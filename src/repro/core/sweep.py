@@ -62,7 +62,7 @@ from repro.core.temporal import (
 )
 from repro.data.store import ADDRESS_DTYPE, ObservationStore
 from repro.runtime.checkpoint import SweepCheckpoint, sweep_signature
-from repro.runtime.pool import PoolConfig, RunReport, resolve_jobs, run_supervised
+from repro.runtime.pool import PoolConfig, RunReport, supervised_map
 
 #: Reference days per chunk: bounds peak memory (a chunk loads
 #: ``chunk + before + after`` day arrays) and is the unit of parallelism.
@@ -282,105 +282,6 @@ def _sweep_chunk(
 # Parallel fan-out: chunks (and granularities) over fork-based workers.
 # ---------------------------------------------------------------------------
 
-#: Stores inherited by forked workers (set immediately before the pool is
-#: created; fork shares the parent's memory copy-on-write, so the stores
-#: are never pickled).
-_WORKER_STORES: Dict[int, ObservationStore] = {}
-
-
-def _worker_sweep(
-    task: Tuple[int, Sequence[int], int, int]
-) -> Tuple[int, List[Tuple[int, np.ndarray]]]:
-    """Pool worker: run one (store key, chunk) task against the inherited
-    stores."""
-    key, ref_days, window_before, window_after = task
-    return key, _sweep_chunk(_WORKER_STORES[key], ref_days, window_before, window_after)
-
-
-def _sweep_stores(
-    stores: Dict[int, ObservationStore],
-    ref_days: Sequence[int],
-    window_before: int,
-    window_after: int,
-    jobs: Optional[int],
-    chunk_days: int,
-    checkpoint_dir: Optional[str] = None,
-    report_sink: Optional[List[RunReport]] = None,
-) -> Dict[int, Dict[int, np.ndarray]]:
-    """Sweep several stores over the same reference days.
-
-    Returns ``{store key: {day: gaps}}``.  With ``jobs`` workers, all
-    (store, chunk) tasks share one supervised fork-based pool
-    (:func:`repro.runtime.pool.run_supervised`), so parallelism spans
-    both disjoint day ranges and prefix granularities while crashed or
-    wedged workers are retried and finally re-run serially.
-
-    With ``checkpoint_dir``, each completed chunk is persisted
-    atomically as it lands (in completion order) and valid chunks from
-    a previous identically-parameterized run are loaded instead of
-    recomputed — the kill-and-resume path.  Results are bit-identical
-    with or without checkpointing, resumption, ``jobs``, or
-    ``chunk_days``.
-    """
-    if window_before < 0 or window_after < 0:
-        raise ValueError("window spans must be non-negative")
-    if chunk_days < 1:
-        raise ValueError(f"chunk_days must be >= 1: {chunk_days}")
-    gaps: Dict[int, Dict[int, np.ndarray]] = {key: {} for key in stores}
-    if not ref_days:
-        return gaps
-    chunks = _plan_chunks(ref_days, chunk_days)
-    checkpoint: Optional[SweepCheckpoint] = None
-    if checkpoint_dir is not None:
-        checkpoint = SweepCheckpoint(
-            checkpoint_dir,
-            sweep_signature(
-                stores, ref_days, window_before, window_after, chunk_days
-            ),
-        )
-    tasks: List[Tuple[int, Sequence[int], int, int]] = []
-    #: parallel to ``tasks``: the (store key, chunk index, chunk) behind each.
-    task_meta: List[Tuple[int, int, List[int]]] = []
-    for key in stores:
-        for chunk_index, chunk in enumerate(chunks):
-            if checkpoint is not None:
-                cached = checkpoint.load_chunk(key, chunk_index, chunk)
-                if cached is not None:
-                    gaps[key].update(cached)
-                    continue
-            tasks.append((key, chunk, window_before, window_after))
-            task_meta.append((key, chunk_index, chunk))
-    if not tasks:
-        # Fully resumed from checkpoints: report an empty run so callers
-        # can tell "nothing recomputed" from "no report collected".
-        if report_sink is not None:
-            report_sink.append(RunReport(label="sweep", tasks=0))
-        return gaps
-    workers = min(resolve_jobs(jobs), len(tasks))
-
-    def on_result(
-        index: int, value: Tuple[int, List[Tuple[int, np.ndarray]]]
-    ) -> None:
-        key, chunk_result = value
-        gaps[key].update(chunk_result)
-        if checkpoint is not None:
-            _store_key, chunk_index, _chunk = task_meta[index]
-            checkpoint.save_chunk(key, chunk_index, chunk_result)
-
-    _WORKER_STORES.update(stores)
-    try:
-        _results, report = run_supervised(
-            _worker_sweep,
-            tasks,
-            PoolConfig(jobs=workers, label="sweep"),
-            on_result=on_result,
-        )
-    finally:
-        _WORKER_STORES.clear()
-    if report_sink is not None:
-        report_sink.append(report)
-    return gaps
-
 
 def _normalized_days(
     observations: ObservationStore, days: Optional[Sequence[int]]
@@ -414,28 +315,20 @@ def sweep_days(
     chunk atomically so a killed sweep resumes from its last checkpoint;
     ``report_sink`` receives the pool's
     :class:`repro.runtime.pool.RunReport`.  Results are independent of
-    ``jobs``, ``chunk_days``, checkpointing, and resumption.
+    ``jobs``, ``chunk_days``, checkpointing, and resumption.  This is
+    :func:`sweep_granularities` at the single granularity /128.
     """
-    ref_days = _normalized_days(observations, days)
-    gaps = _sweep_stores(
-        {0: observations},
-        ref_days,
+    return sweep_granularities(
+        observations,
+        [128],
+        days,
         window_before,
         window_after,
         jobs,
         chunk_days,
         checkpoint_dir=checkpoint_dir,
         report_sink=report_sink,
-    )[0]
-    return [
-        StabilityResult(
-            reference_day=day,
-            window=(window_before, window_after),
-            active=observations.array(day),
-            gaps=gaps[day],
-        )
-        for day in ref_days
-    ]
+    )[128]
 
 
 def sweep_granularities(
@@ -452,27 +345,69 @@ def sweep_granularities(
     """Sweep several prefix granularities of one store at once.
 
     ``prefix_lens`` names the granularities (128 = full addresses; 64 =
-    the paper's /64 prefixes; any length works).  All granularities'
-    chunks share one supervised worker pool, so a two-granularity year
-    sweep keeps ``jobs`` workers busy throughout.  Returns
+    the paper's /64 prefixes; any length works).  Returns
     ``{prefix_len: results}`` with each list equal to
-    :func:`sweep_days` on the derived store.  ``checkpoint_dir`` and
-    ``report_sink`` behave as in :func:`sweep_days`; checkpoint entries
-    are keyed per granularity.
+    :func:`sweep_days` on the derived store.
+
+    Every (granularity, chunk) pair is one task of a single
+    :func:`repro.runtime.pool.supervised_map` call, so parallelism spans
+    both disjoint day ranges and prefix granularities, and a
+    two-granularity year sweep keeps ``jobs`` workers busy throughout.
+    The mapped function is a closure over the derived stores, which
+    forked workers inherit copy-on-write; only each chunk's gaps travel
+    back.  ``checkpoint_dir`` and ``report_sink`` behave as in
+    :func:`sweep_days` (the report has ``tasks=0`` when every chunk came
+    from checkpoints); checkpoint entries are keyed by granularity and
+    chunk index.
     """
+    if window_before < 0 or window_after < 0:
+        raise ValueError("window spans must be non-negative")
+    if chunk_days < 1:
+        raise ValueError(f"chunk_days must be >= 1: {chunk_days}")
     stores = {
         int(p): observations if int(p) >= 128 else observations.truncated(int(p))
         for p in prefix_lens
     }
     ref_days = _normalized_days(observations, days)
-    gaps = _sweep_stores(
-        stores,
-        ref_days,
-        window_before,
-        window_after,
-        jobs,
-        chunk_days,
-        checkpoint_dir=checkpoint_dir,
+    if not ref_days:
+        return {p: [] for p in stores}
+    chunks = _plan_chunks(ref_days, chunk_days)
+    checkpoint: Optional[SweepCheckpoint] = None
+    if checkpoint_dir is not None:
+        checkpoint = SweepCheckpoint(
+            checkpoint_dir,
+            sweep_signature(
+                stores, ref_days, window_before, window_after, chunk_days
+            ),
+        )
+    gaps: Dict[int, Dict[int, np.ndarray]] = {key: {} for key in stores}
+    #: (store key, chunk index, chunk) of every chunk still to compute.
+    tasks: List[Tuple[int, int, List[int]]] = []
+    for key in stores:
+        for chunk_index, chunk in enumerate(chunks):
+            if checkpoint is not None:
+                cached = checkpoint.load_chunk(key, chunk_index, chunk)
+                if cached is not None:
+                    gaps[key].update(cached)
+                    continue
+            tasks.append((key, chunk_index, chunk))
+
+    def sweep_chunk(task: Tuple[int, int, List[int]]) -> List[Tuple[int, np.ndarray]]:
+        key, _chunk_index, chunk = task
+        return _sweep_chunk(stores[key], chunk, window_before, window_after)
+
+    def on_result(index: int, chunk_result: List[Tuple[int, np.ndarray]]) -> None:
+        key, chunk_index, _chunk = tasks[index]
+        gaps[key].update(chunk_result)
+        if checkpoint is not None:
+            checkpoint.save_chunk(key, chunk_index, chunk_result)
+
+    supervised_map(
+        sweep_chunk,
+        tasks,
+        jobs=jobs,
+        config=PoolConfig(label="sweep"),
+        on_result=on_result,
         report_sink=report_sink,
     )
     return {

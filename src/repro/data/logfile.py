@@ -499,16 +499,21 @@ def read_daily_log_arrays(
     return _parse_log_bytes(data, path, errors=errors, report=report)
 
 
-#: A load_store worker task: (path, cache_dir, errors, probe).  ``probe``
-#: is the parent's ``(digest, corrupt_reason)`` for a day-cache miss, or
-#: None when the parent did not probe (no cache, or the probe failed).
-_DayTask = Tuple[str, Optional[str], str, Optional[Tuple[str, Optional[str]]]]
+#: A day still to load: (path, probe).  ``probe`` is the parent's
+#: ``(digest, corrupt_reason)`` for a day-cache miss, or None when the
+#: parent did not probe (no cache, or the probe failed).
+_DayTask = Tuple[str, Optional[Tuple[str, Optional[str]]]]
 
-#: A worker's answer: (payload or None for a lost day, delta report).
+#: A loaded day: (payload or None for a lost day, delta report).
 _DayResult = Tuple[Optional[_Columns], Optional[QuarantineReport]]
 
 
-def _load_day_task(task: _DayTask) -> _DayResult:
+def _load_day(
+    path: str,
+    probe: Optional[Tuple[str, Optional[str]]],
+    cache_dir: Optional[str],
+    errors: str,
+) -> _DayResult:
     """Load one day as arrays, through the binary cache when enabled.
 
     Runs in a (possibly forked) pool worker; in quarantine mode every
@@ -519,7 +524,6 @@ def _load_day_task(task: _DayTask) -> _DayResult:
     threshold breach must abort the *run*, not look like a worker fault
     the supervisor would pointlessly retry.
     """
-    path, cache_dir, errors, probe = task
     quarantine = errors == ERRORS_QUARANTINE
     delta = QuarantineReport() if quarantine else None
     try:
@@ -547,7 +551,7 @@ def _load_day_task(task: _DayTask) -> _DayResult:
 
 
 def _probe_cache(
-    paths: Sequence[str], cache_dir: Optional[str], errors: str
+    paths: Sequence[str], cache_dir: Optional[str]
 ) -> Tuple[Dict[int, _DayResult], Dict[int, _DayTask]]:
     """Serve day-cache hits in the parent; plan pool tasks for the rest.
 
@@ -578,7 +582,7 @@ def _probe_cache(
                     served[index] = (columns, None)
                     continue
                 probe = (digest, corrupt_reason)
-        pending[index] = (path, cache_dir, errors, probe)
+        pending[index] = (path, probe)
     return served, pending
 
 
@@ -616,9 +620,10 @@ def load_store(
     Args:
         paths: the daily log files, in day order.
         jobs: number of worker processes.  ``None`` or 1 loads serially;
-            0 (or negative) uses all CPUs.  Days are independent, so the
-            parse work fans out cleanly under the supervised pool
-            (crashed/wedged workers are retried, then re-run serially).
+            0 uses all CPUs; negative raises ``ValueError``.  Days are
+            independent, so the parse work fans out cleanly under the
+            supervised pool (crashed/wedged workers are retried, then
+            re-run serially).
         cache_dir: when given, each file's parsed columns are persisted
             in (and reused from) a binary columnar cache keyed by the
             file's content hash — see :mod:`repro.data.daycache`.  Hits
@@ -644,15 +649,12 @@ def load_store(
     if quarantine and policy is None:
         policy = QuarantinePolicy()
     path_list = [os.fspath(p) for p in paths]
-    if jobs is not None and jobs <= 0:
-        jobs = os.cpu_count() or 1
-    outcomes, pending = _probe_cache(path_list, cache_dir, errors)
-    config = PoolConfig(label="load-store")
+    outcomes, pending = _probe_cache(path_list, cache_dir)
     pooled = supervised_map(
-        _load_day_task,
+        lambda task: _load_day(*task, cache_dir, errors),
         list(pending.values()),
         jobs=jobs,
-        config=config,
+        config=PoolConfig(label="load-store"),
         report_sink=report_sink,
     )
     outcomes.update(zip(pending, pooled))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -580,6 +580,10 @@ _THREAD_FACTORIES = frozenset(
 
 _HANDLE_FACTORIES = frozenset({"open", "mmap"})
 
+_POOL_FACTORIES = frozenset(
+    {"Pool", "ProcessPoolExecutor", "run_supervised", "supervised_map"}
+)
+
 
 class ForkSafetyRule(Rule):
     """R005: threads, locks, or open handles mixed with fork fan-out."""
@@ -595,17 +599,20 @@ a lock held by any other thread stays locked forever in the child — and
 duplicated handles share file offsets with the parent, so reads in
 workers corrupt each other's positions.
 
-Historical bug: the engines deliberately pass worker inputs through a
-module-global store (_WORKER_STORES) set immediately before the pool is
-created, precisely so nothing else — handles, locks, executors — is
-alive across the fork; load_store serves day-cache hits in the parent
-but copies their columns out of the memory map before the miss pool
-forks, and misses load inside workers, for the same reason.  This rule
-pins that discipline in place.
+Historical bug: fan-outs once passed worker inputs through module-global
+stores set just before the fork, so that nothing else — handles, locks,
+executors — was alive across it.  Every fan-out now maps a closure
+through supervised_map, which forks one child per task attempt; the
+closure reaches the child through the forked address space, so it must
+capture data, never live handles.  load_store copies day-cache hits out
+of their memory map before the miss pool forks, and misses load inside
+the mapped closure, for the same reason.  supervised_map and
+run_supervised calls count as fork sites.
 
-Fix: open handles inside the worker function (after the fork), never in
-the fan-out function before the pool; replace threads with processes or
-create them only in code that never coexists with a fork pool.
+Fix: open handles inside the mapped function or closure (it runs after
+the fork), never in the fan-out function before the pool; replace
+threads with processes or create them only in code that never coexists
+with a fork pool.
 
 Suppress with ``# repro-lint: ignore[R005]`` when a handle provably
 never crosses the fork (e.g. opened and closed before the pool in a
@@ -644,8 +651,8 @@ never crosses the fork (e.g. opened and closed before the pool in a
             if not local_pools:
                 continue
             first_pool = min(local_pools)
-            for node in ast.walk(func):
-                if not isinstance(node, ast.Call) or node.lineno >= first_pool:
+            for node in self._own_calls(func):
+                if node.lineno >= first_pool:
                     continue
                 callee = _terminal_name(node.func)
                 if callee in _HANDLE_FACTORIES or self._is_mmap_load(node):
@@ -668,7 +675,7 @@ never crosses the fork (e.g. opened and closed before the pool in a
             if not isinstance(node, ast.Call):
                 continue
             callee = _terminal_name(node.func)
-            if callee in ("Pool", "ProcessPoolExecutor"):
+            if callee in _POOL_FACTORIES:
                 lines.append(node.lineno)
             elif callee == "get_context" and any(
                 isinstance(arg, ast.Constant) and arg.value == "fork"
@@ -676,6 +683,19 @@ never crosses the fork (e.g. opened and closed before the pool in a
             ):
                 lines.append(node.lineno)
         return lines
+
+    @staticmethod
+    def _own_calls(func: ast.AST) -> Iterator[ast.Call]:
+        """Calls in ``func``'s own body.  Nested functions and lambdas are
+        skipped: a mapped closure runs in the child, after the fork."""
+        stack = list(ast.iter_child_nodes(func))
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(node, ast.Call):
+                yield node
+            stack.extend(ast.iter_child_nodes(node))
 
     @staticmethod
     def _contains_line(func: ast.AST, line: int) -> bool:

@@ -24,11 +24,13 @@ replaces them with one supervisor that provides:
   timeout, crash, and fallback, so "it worked" and "it worked after
   recovering from three dead workers" are distinguishable.
 
-Workers inherit parent state by fork (copy-on-write), exactly like the
-engines' previous pools: callers set their module-level worker globals
-before calling ``run_supervised`` and clear them after.  Where fork is
-unavailable the supervisor degrades to serial in-process execution —
-slower, never wrong.
+Each child is started by the ``fork`` context with ``func`` and its
+task as ``Process`` arguments, so both reach the child through the
+forked address space (copy-on-write) and are never pickled: ``func``
+may be a closure over the caller's stores and parameters.  Only
+results (and error tracebacks) are pickled, back through each child's
+pipe.  Where fork is unavailable the supervisor degrades to serial
+in-process execution — slower, never wrong.
 
 Results are returned in task order regardless of completion order; the
 optional ``on_result`` callback fires in *completion* order and is the
@@ -280,7 +282,7 @@ def run_supervised(
             pass
         process.join()
 
-    def handle_failure(index: int, attempt: int, outcome: str, detail: str) -> None:
+    def handle_failure(index: int, attempt: int, detail: str) -> None:
         """Schedule a retry, fall back to serial, or raise."""
         if attempt < config.retries:
             ready = time.monotonic() + backoff_delay(config, index, attempt + 1)
@@ -381,7 +383,7 @@ def run_supervised(
                             elapsed=elapsed,
                         )
                     )
-                    handle_failure(entry.index, entry.attempt, OUTCOME_CRASH, detail)
+                    handle_failure(entry.index, entry.attempt, detail)
                 else:
                     report.attempts.append(
                         TaskAttempt(
@@ -392,9 +394,7 @@ def run_supervised(
                             elapsed=elapsed,
                         )
                     )
-                    handle_failure(
-                        entry.index, entry.attempt, OUTCOME_ERROR, str(payload)
-                    )
+                    handle_failure(entry.index, entry.attempt, str(payload))
 
             now = time.monotonic()
             for connection, entry in list(running.items()):
@@ -415,7 +415,7 @@ def run_supervised(
                             elapsed=now - entry.started,
                         )
                     )
-                    handle_failure(entry.index, entry.attempt, OUTCOME_TIMEOUT, detail)
+                    handle_failure(entry.index, entry.attempt, detail)
     finally:
         for connection, entry in running.items():
             kill(entry.process)

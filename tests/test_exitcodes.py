@@ -86,6 +86,12 @@ class TestCliContract:
             main_census(["--errors", "ignore", str(tmp_path / "x.txt")])
         assert info.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize("tool", [main_census, main_sweep])
+    def test_negative_jobs_is_usage_error(self, tool):
+        with pytest.raises(SystemExit) as info:
+            tool(["--simulate", "0.005", "--jobs", "-1"])
+        assert info.value.code == EXIT_USAGE
+
     def test_strict_corrupt_log_exits_input(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("definitely not a log line\n")

@@ -95,6 +95,12 @@ class TestParallelLoading:
             logfile.load_store(paths), logfile.load_store(paths, jobs=0)
         )
 
+    def test_negative_jobs_rejected(self, tmp_path):
+        # Same contract as sweep_days and sweep_spatial.
+        paths = self._make_logs(tmp_path)
+        with pytest.raises(ValueError, match="jobs must be >= 0"):
+            logfile.load_store(paths, jobs=-3)
+
     def test_parallel_with_cache(self, tmp_path):
         paths = self._make_logs(tmp_path)
         cache = str(tmp_path / "cache")

@@ -199,6 +199,25 @@ class TestR005ForkSafety:
         """
         assert ids(source) == []
 
+    def test_handle_opened_before_supervised_map_trips(self):
+        source = """
+            def fan_out(path, tasks):
+                handle = open(path, "rb")
+                return supervised_map(lambda task: work(handle, task), tasks, jobs=2)
+        """
+        assert ids(source) == ["R005"]
+
+    def test_handle_inside_mapped_closure_passes(self):
+        source = """
+            def fan_out(paths):
+                def load(path):
+                    with open(path, "rb") as handle:
+                        return handle.read()
+
+                return supervised_map(load, paths, jobs=2)
+        """
+        assert ids(source) == []
+
     def test_module_without_pools_passes(self):
         source = """
             import threading

@@ -9,6 +9,7 @@ armed through marker files on disk so the retry genuinely succeeds.
 
 import multiprocessing
 import os
+import pickle
 import time
 
 import pytest
@@ -27,6 +28,7 @@ from repro.runtime.pool import (
     run_supervised,
     supervised_map,
 )
+from repro.sim.faults import FAULT_ENV, FaultPlan
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(not HAS_FORK, reason="needs fork start method")
@@ -231,6 +233,49 @@ class TestParallelPath:
             run_supervised(
                 _always_raises, [3, 4], PoolConfig(jobs=2, **FAST)
             )
+
+
+class _Local:
+    """Stands in for a caller's store: state a mapped closure captures."""
+
+    def __init__(self, offset):
+        self.offset = offset
+        self.unpicklable = lambda: None  # pickle rejects lambdas
+
+
+@needs_fork
+class TestClosures:
+    """``func`` reaches the children by fork, never by pickle, so callers
+    map closures over their own state."""
+
+    def test_closure_over_unpicklable_state(self):
+        state = _Local(10)
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            pickle.dumps(state)
+        parent = os.getpid()
+
+        def shifted(value):
+            return value + state.offset, os.getpid()
+
+        results, report = run_supervised(shifted, [1, 2, 3], PoolConfig(jobs=2))
+        assert [value for value, _pid in results] == [11, 12, 13]
+        assert all(pid != parent for _value, pid in results)
+        assert report.clean
+
+    def test_poisoned_closure_falls_back_to_serial(self, monkeypatch):
+        monkeypatch.setenv(
+            FAULT_ENV, FaultPlan(seed=5, poison_tasks=(1,)).worker_env()[FAULT_ENV]
+        )
+        state = _Local(10)
+
+        def shifted(value):
+            return value + state.offset
+
+        results, report = run_supervised(shifted, [1, 2, 3], PoolConfig(jobs=2, **FAST))
+        assert results == [11, 12, 13]
+        assert report.fallbacks == 1  # task 1 died in every child
+        serial = [a for a in report.attempts if a.outcome == OUTCOME_SERIAL_OK]
+        assert [a.index for a in serial] == [1]
 
 
 class TestRunReport:

@@ -272,6 +272,12 @@ class TestSweepSpatial:
             assert one.dense == two.dense
             assert one.mra_counts.tolist() == two.mra_counts.tolist()
 
+    def test_serial_run_reports_to_sink(self, store):
+        sink = []
+        sweep_spatial(store, classes=[DensityClass(2, 112)], jobs=1, report_sink=sink)
+        assert [report.label for report in sink] == ["spatial-sweep"]
+        assert sink[0].clean and sink[0].tasks > 0
+
     def test_cull_scopes_to_other(self, store):
         from repro.core.census import other_mask
 
