@@ -4,8 +4,10 @@ The streaming classifier (§5.1's "ongoing basis") must match the batch
 results exactly while holding only a window's worth of days; this bench
 times both over the same month of logs and checks the equivalence and
 the memory bound.  pytest-benchmark's timing table is the deliverable:
-streaming merges each day into its sorted window (O(window) per day, no
-re-sort), buying bounded memory for unbounded feeds.
+the stream keeps one presence word per distinct buffered address,
+inserts only each day's unseen addresses and shifts the words on
+eviction (no sort, no per-day re-scan), buying bounded memory for
+unbounded feeds.
 """
 
 import pytest

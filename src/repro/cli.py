@@ -302,7 +302,10 @@ def main_sweep(argv: Optional[Sequence[str]] = None) -> int:
         type=int,
         default=sweep_mod.DEFAULT_CHUNK_DAYS,
         metavar="D",
-        help="reference days per sweep chunk (memory/parallelism unit)",
+        help=(
+            "at most D reference days per sweep chunk (memory/parallelism "
+            f"unit); a chunk's window spans at most {sweep_mod.WORD_DAYS} days"
+        ),
     )
     parser.add_argument(
         "--checkpoint-dir",

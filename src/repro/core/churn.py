@@ -13,7 +13,10 @@ module measures the distributions directly from a day-indexed store:
 * :func:`daily_churn` — per consecutive-day pair: born, died, retained.
 
 These quantify what the paper's temporal classes discretize, and back
-the lifetime benchmark.
+the lifetime benchmark.  The span table is the sweep engine's grouped
+pass (:func:`repro.core.sweep.grouped_spans`): observations grouped by
+dense address id, each group reduced to its first day, last day and
+count.  Unlike the windowed sweep it has no limit on the days spanned.
 """
 
 from __future__ import annotations
@@ -55,9 +58,9 @@ def observation_spans(
     """Compute per-address first/last/day-count over the given days.
 
     Runs on the sweep engine's grouped pass
-    (:func:`repro.core.sweep.grouped_spans`): one packed-key sort by
-    (address, day) replaces the structured ``np.unique`` and the
-    scalar-dispatch ``ufunc.at`` updates of the original implementation.
+    (:func:`repro.core.sweep.grouped_spans`): one stable ``argsort`` of
+    dense address ids plus ``minimum``/``maximum`` ``reduceat``, for day
+    lists in any order and of any span.
     """
     from repro.core.sweep import grouped_spans
 

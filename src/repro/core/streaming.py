@@ -12,15 +12,15 @@ bounded by the window length — old days are dropped as the window
 slides — so the stream can run over unbounded log sequences.
 
 Classification rides on the sweep engine's incremental window state
-(:class:`repro.core.sweep.SweepState`): the live window's observations
-are kept as merged columns sorted by (address, day).  A pushed day is
-merged in at its insertion points and expired days are masked out, so
-the window is never re-sorted and a push costs O(window) array work;
-emitting a day costs two vectorized binary searches instead of
-rebuilding an :class:`ObservationStore` and re-scanning all window days
-(the pre-sweep implementation did both for every emitted day).  Pending
-days wait in a ``deque``, so draining is O(1) per emission rather than
-an O(n) list shift.
+(:class:`repro.core.sweep.SweepState`): a sorted table of the distinct
+buffered addresses with one presence word each (bit ``k`` = seen on the
+``k``-th buffered day).  A push inserts only the addresses the table
+does not hold yet and eviction shifts the words right, so nothing is
+ever re-sorted; emitting a day masks its words to the day's window and
+reads the first and last set bits.  The stream never buffers more than
+``before + after + 1`` days, so a window may span at most
+:data:`repro.core.sweep.WORD_DAYS` days.  Pending days wait in a
+``deque``, so draining is O(1) per emission.
 
 The emitted results are identical to the batch classifier's
 (:func:`repro.core.temporal.classify_day` over a store holding the same
@@ -30,7 +30,7 @@ days), which a test asserts.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterable, Iterator, List, Optional
+from typing import Deque, Iterable, Iterator, List
 
 from repro.core.sweep import SweepState
 from repro.core.temporal import (
@@ -54,12 +54,9 @@ class StabilityStream:
         window_before: int = DEFAULT_WINDOW_BEFORE,
         window_after: int = DEFAULT_WINDOW_AFTER,
     ) -> None:
-        if window_before < 0 or window_after < 0:
-            raise ValueError("window spans must be non-negative")
+        self._state = SweepState(window_before, window_after)
         self.window_before = window_before
         self.window_after = window_after
-        self._state = SweepState(window_before, window_after)
-        self._last_day: Optional[int] = None
         self._pending: Deque[int] = deque()  # days awaiting their window
 
     def push(self, day: int, addresses: Iterable[int]) -> List[StabilityResult]:
@@ -80,23 +77,17 @@ class StabilityStream:
         :class:`DailyObservations` (e.g. from the day-log cache); same
         ordering contract and emissions as :meth:`push`.
         """
-        day = observations.day
-        if self._last_day is not None and day <= self._last_day:
-            raise ValueError(
-                f"days must be pushed in increasing order: {day} after "
-                f"{self._last_day}"
-            )
-        self._last_day = day
-        self._state.push_day(day, observations.addresses)
-        self._pending.append(day)
+        self._state.push_day(observations.day, observations.addresses)
+        self._pending.append(observations.day)
         return self._drain()
 
     def _drain(self) -> List[StabilityResult]:
         """Classify every pending day whose trailing window has arrived."""
         results: List[StabilityResult] = []
+        last_day = self._state.last_day
         while self._pending:
             reference = self._pending[0]
-            if self._last_day < reference + self.window_after:
+            if last_day < reference + self.window_after:
                 break
             self._pending.popleft()
             results.append(self._state.classify(reference))

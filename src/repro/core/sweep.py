@@ -1,56 +1,42 @@
-"""Incremental sliding-window sweep engine for temporal classification (§5.1).
+"""Sliding-window sweep engine for temporal classification (§5.1).
 
 :func:`repro.core.temporal.classify_day` answers one question — "which of
 this day's addresses are nd-stable?" — by re-scanning every day of the
 ``(-before, +after)`` window.  Classifying *every* day of a store that way
-touches each day array ``window``-many times, which dominates the runtime
-of full-campaign analyses now that ingestion is fast.
+touches each day array ``window``-many times.
 
-This module classifies every requested day in one chronological pass.
-The core observation: for an address active on reference day ``r``, the
-classifier's per-address extremes are exactly the first and last days the
-address was observed within ``[r - before, r + after]`` — and because the
-address *is* observed on ``r``, those extremes can be read off the
-address's global observation sequence with two binary searches.  So the
-engine:
+For an address active on reference day ``r`` the classifier needs only
+the first and last days the address was seen in ``[r - before,
+r + after]``.  This module holds that as *presence words*: one
+``uint64`` per distinct address, where bit ``k`` means "seen on the
+``k``-th day held".  Bits index days by position, not by day number, so
+day gaps and large day numbers cost nothing.  One kernel,
+:func:`_window_gaps`, masks each word to a window and returns
+``days[highest set bit] - days[lowest set bit]``; the batch sweep and
+the streaming state both compute every gap through it.
 
-1. concatenates the window days' ``(hi, lo)`` address columns with a
-   parallel day column (each day array touched once);
-2. sorts the observations by ``(address, day)`` with one unstable
-   ``argsort`` of a packed int64 key (:func:`_address_day_order`: the
-   dense ranks of ``hi`` and ``lo`` and the day offset, unique per
-   observation) — no structured-dtype comparisons and no multi-key
-   sort on the hot path;
-3. assigns run ids to equal-address runs and builds integer keys
-   ``run_id * scale + day`` so that *per-address* day ranges can be
-   found with plain global ``searchsorted`` calls;
-4. answers every (observation, window) query at once with two vectorized
-   binary searches, then scatters the gaps back to each day's array
-   order.
+* **Batch** (:func:`sweep_days`, :func:`sweep_granularities`): reference
+  days are split into chunks whose window spans at most
+  :data:`WORD_DAYS` days.  Each distinct address of a chunk gets a dense
+  id, each window day ORs its bit into the words of its ids, and each
+  reference day's gaps are read in that day's own array order, so
+  nothing is scattered back.  Chunks are the unit of checkpointing and
+  of the fork-based fan-out, across day ranges and prefix granularities.
+* **Streaming** (:class:`SweepState`): a table of the distinct buffered
+  addresses, sorted by ``(hi, lo)``, with their words.  A pushed day
+  inserts only addresses not yet in the table; evicting days shifts the
+  words right and drops the addresses whose word became zero.
+  :class:`repro.core.streaming.StabilityStream` is built on it.
 
-The emitted :class:`~repro.core.temporal.StabilityResult` objects are
-bit-identical to per-day :func:`classify_day` output (tested), while each
-day array is touched O(1) times instead of O(window).
-
-Long campaigns are processed in bounded-memory chunks of reference days
-(overlapping by the window so results stay exact), and chunks can be
-fanned out over ``fork``-based worker processes — across disjoint day
-ranges and, via :func:`sweep_granularities`, across prefix granularities
-(/128 addresses and /64 prefixes) simultaneously.
-
-:class:`SweepState` is the engine's incremental form for streaming: a
-window state that days enter (``push_day``) and leave (``evict_before``).
-It holds the live window as merged ``(hi, lo, day)`` columns that never
-need sorting: each new day is merged in at its insertion points (it is
-later than every buffered day) and evicted days are masked out, both in
-O(window), so any buffered day can be classified without rebuilding a
-store.  :class:`repro.core.streaming.StabilityStream` is built on it.
+A window spans at most ``WORD_DAYS = 64`` days (``before + after + 1``);
+the paper's is 15.  Results are bit-identical to per-day
+:func:`classify_day` (tested).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from bisect import bisect_left
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,14 +50,52 @@ from repro.data.store import ADDRESS_DTYPE, ObservationStore
 from repro.runtime.checkpoint import SweepCheckpoint, sweep_signature
 from repro.runtime.pool import PoolConfig, RunReport, supervised_map
 
-#: Reference days per chunk: bounds peak memory (a chunk loads
-#: ``chunk + before + after`` day arrays) and is the unit of parallelism.
-DEFAULT_CHUNK_DAYS = 64
+#: Days one presence word can hold: the widest window, and the most days
+#: a chunk's window or a :class:`SweepState` may span.  Not a knob.
+WORD_DAYS = 64
 
-#: Packed sort keys and window keys stay below this bound (int64 headroom).
-_KEY_LIMIT = 2**62
+#: Reference days per chunk, an upper bound: chunks hold at most
+#: ``WORD_DAYS - before - after`` reference days.  Bounds peak memory (a
+#: chunk loads its window's day arrays) and is the unit of parallelism.
+DEFAULT_CHUNK_DAYS = 50
 
-_KEY_OVERFLOW = "day span too large for sweep keys; reduce chunk_days"
+_ONE = np.uint64(1)
+
+
+def _check_window(window_before: int, window_after: int) -> None:
+    if window_before < 0 or window_after < 0:
+        raise ValueError("window spans must be non-negative")
+    if window_before + window_after + 1 > WORD_DAYS:
+        raise ValueError(
+            f"window of {window_before + window_after + 1} days exceeds "
+            f"the {WORD_DAYS}-day limit"
+        )
+
+
+def _window_gaps(
+    words: np.ndarray, days: np.ndarray, low: int, high: int
+) -> np.ndarray:
+    """``days[highest bit] - days[lowest bit]`` of each presence word,
+    counting only bits whose day lies in ``[low, high]``.
+
+    ``days`` are the held days in increasing order (bit ``k`` stands for
+    ``days[k]``).  Both bits are isolated as powers of two, which
+    convert to float64 exactly, so ``frexp`` reads their indices.  A word
+    with no bit in the window yields 0.
+    """
+    first = int(np.searchsorted(days, low, side="left"))
+    stop = max(first, int(np.searchsorted(days, high, side="right")))
+    masked = words & np.uint64((1 << stop) - (1 << first))
+    lowest = np.invert(masked)
+    lowest += _ONE
+    lowest &= masked
+    # Smear the highest bit downwards, then keep only it.
+    for shift in (1, 2, 4, 8, 16, 32):
+        masked |= masked >> np.uint64(shift)
+    masked ^= masked >> _ONE
+    low_bit = np.frexp(lowest.astype(np.float64))[1] - 1
+    high_bit = np.frexp(masked.astype(np.float64))[1] - 1
+    return days[high_bit] - days[low_bit]
 
 
 def _dense_rank(values: np.ndarray) -> Tuple[np.ndarray, int]:
@@ -88,103 +112,14 @@ def _dense_rank(values: np.ndarray) -> Tuple[np.ndarray, int]:
     return ranks, int(ranks_in_order[-1]) + 1
 
 
-def _address_day_order(
-    hi: np.ndarray, lo: np.ndarray, day: np.ndarray
-) -> np.ndarray:
-    """The permutation that sorts observations by ``(hi, lo, day)``.
-
-    Packs each observation into one int64,
-    ``(hi_rank * n_lo + lo_rank) * span + (day - offset)``, from the
-    dense ranks of ``hi`` and ``lo``, and runs a single unstable
-    ``argsort`` on it.  For distinct ``(address, day)`` observations
-    (every caller concatenates canonical day arrays) the key is unique,
-    so the permutation is the one a stable lexicographic sort on
-    ``(hi, lo, day)`` gives.  Raises ``ValueError`` when the key would
-    reach 2**62.
-    """
-    if day.shape[0] == 0:
-        return np.empty(0, dtype=np.intp)
-    key, n_hi = _dense_rank(hi)
+def _address_ids(hi: np.ndarray, lo: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Dense id of each ``(hi, lo)`` address, numbered in address order,
+    and the number of distinct addresses.  Inputs must be non-empty."""
+    ids, _ = _dense_rank(hi)
     lo_rank, n_lo = _dense_rank(lo)
-    offset = int(day.min())
-    span = int(day.max()) - offset + 1
-    if n_hi * n_lo * span >= _KEY_LIMIT:
-        raise ValueError(_KEY_OVERFLOW)
-    key *= n_lo
-    key += lo_rank
-    del lo_rank
-    key *= span
-    key += day - offset
-    return np.argsort(key)
-
-
-class _SortedWindow:
-    """Observations of several days, sorted by (address, day).
-
-    ``hi``/``lo``/``day`` are the sorted columns; ``gid`` numbers
-    equal-address runs; ``key = gid * scale + day-offset`` lets
-    per-address day ranges be located with global ``searchsorted``.
-
-    The columns must already be in ``(hi, lo, day)`` order: the batch
-    sweep orders them with :func:`_address_day_order`, the streaming
-    state keeps its window that way.  ``margin`` must be at least
-    ``before + after + 1`` of any window later queried, so that
-    out-of-range query keys cannot cross into a neighbouring address's
-    key range.
-    """
-
-    __slots__ = ("hi", "lo", "day", "gid", "key", "scale", "offset")
-
-    def __init__(
-        self, hi: np.ndarray, lo: np.ndarray, day: np.ndarray, margin: int
-    ) -> None:
-        self.hi = hi
-        self.lo = lo
-        self.day = day
-        n = day.shape[0]
-        boundary = np.empty(n, dtype=bool)
-        boundary[0] = True
-        boundary[1:] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])
-        self.gid = np.cumsum(boundary, dtype=np.int64) - 1
-        self.offset = int(day.min())
-        span = int(day.max()) - self.offset + 1
-        self.scale = span + int(margin)
-        if (int(self.gid[-1]) + 1) * self.scale >= _KEY_LIMIT:
-            raise ValueError(_KEY_OVERFLOW)
-        self.key = self.gid * self.scale + (day - self.offset)
-
-    def extremes(
-        self,
-        positions: np.ndarray,
-        low: "np.ndarray | int",
-        high: "np.ndarray | int",
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """First and last observation day, within ``[low, high]``, of the
-        address at each queried (sorted-order) position.
-
-        ``low``/``high`` may be scalars or arrays parallel to
-        ``positions``.  Each queried position's own day must lie inside
-        its ``[low, high]`` (true for window queries: the reference day
-        observation is its own witness), which guarantees both searches
-        land inside the address's run.
-        """
-        base = self.gid[positions] * self.scale
-        first = np.searchsorted(self.key, base + (low - self.offset), side="left")
-        last = (
-            np.searchsorted(self.key, base + (high - self.offset), side="right") - 1
-        )
-        return self.day[first], self.day[last]
-
-
-def _concat_columns(
-    arrays: Sequence[np.ndarray], days: Sequence[int]
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Concatenate day arrays into (hi, lo, day) columns."""
-    sizes = [array.shape[0] for array in arrays]
-    hi = np.concatenate([array["hi"] for array in arrays])
-    lo = np.concatenate([array["lo"] for array in arrays])
-    day = np.repeat(np.asarray(days, dtype=np.int64), sizes)
-    return hi, lo, day
+    ids *= n_lo
+    ids += lo_rank
+    return _dense_rank(ids)
 
 
 def grouped_spans(
@@ -192,27 +127,32 @@ def grouped_spans(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-address (addresses, first, last, days_seen) over day arrays.
 
-    The sweep engine's grouped pass without a window: one packed-key
-    sort by (address, day) (:func:`_address_day_order`) instead of a
-    structured ``np.unique`` plus scalar-dispatch ``ufunc.at`` updates.
+    Groups the observations by dense address id with one stable
+    ``argsort`` and reduces each group with ``minimum``/``maximum``
+    ``reduceat``; days may be given in any order and span any range.
     Backs :func:`repro.core.churn.observation_spans`.
     """
-    total = sum(array.shape[0] for array in arrays)
+    sizes = [array.shape[0] for array in arrays]
+    total = sum(sizes)
     if total == 0:
         empty = np.empty(0, dtype=np.int64)
         return np.empty(0, dtype=ADDRESS_DTYPE), empty, empty.copy(), empty.copy()
-    hi, lo, day = _concat_columns(arrays, [int(d) for d in days])
-    order = _address_day_order(hi, lo, day)
-    shi, slo, sday = hi[order], lo[order], day[order]
-    boundary = np.empty(total, dtype=bool)
-    boundary[0] = True
-    boundary[1:] = (shi[1:] != shi[:-1]) | (slo[1:] != slo[:-1])
-    starts = np.nonzero(boundary)[0]
-    ends = np.concatenate([starts[1:], [total]])
-    addresses = np.empty(starts.shape[0], dtype=ADDRESS_DTYPE)
-    addresses["hi"] = shi[starts]
-    addresses["lo"] = slo[starts]
-    return addresses, sday[starts], sday[ends - 1], ends - starts
+    hi = np.concatenate([array["hi"] for array in arrays])
+    lo = np.concatenate([array["lo"] for array in arrays])
+    ids, count = _address_ids(hi, lo)
+    order = np.argsort(ids, kind="stable")
+    days_seen = np.bincount(ids, minlength=count).astype(np.int64)
+    starts = np.concatenate([[0], np.cumsum(days_seen[:-1])])
+    day = np.repeat(np.asarray([int(d) for d in days], dtype=np.int64), sizes)[order]
+    addresses = np.empty(count, dtype=ADDRESS_DTYPE)
+    addresses["hi"] = hi[order[starts]]
+    addresses["lo"] = lo[order[starts]]
+    return (
+        addresses,
+        np.minimum.reduceat(day, starts),
+        np.maximum.reduceat(day, starts),
+        days_seen,
+    )
 
 
 def _plan_chunks(ref_days: Sequence[int], chunk_days: int) -> List[List[int]]:
@@ -237,44 +177,42 @@ def _sweep_chunk(
 ) -> List[Tuple[int, np.ndarray]]:
     """Classify one chunk of reference days; return (day, gaps) pairs.
 
-    Gaps arrays are parallel to each reference day's sorted address
-    array; absent days yield empty arrays, matching ``classify_day``.
+    The chunk's window, ``[ref_days[0] - before, ref_days[-1] + after]``,
+    must hold at most :data:`WORD_DAYS` store days.  Gaps arrays are
+    parallel to each reference day's sorted address array; absent days
+    yield empty arrays, matching ``classify_day``.
     """
     low = ref_days[0] - window_before
     high = ref_days[-1] + window_after
     window_days = [day for day in observations.days() if low <= day <= high]
     arrays = [observations.array(day) for day in window_days]
     sizes = [array.shape[0] for array in arrays]
-    total = sum(sizes)
-    if total == 0:
+    if sum(sizes) == 0:
         return [(day, np.empty(0, dtype=np.int64)) for day in ref_days]
-    hi, lo, day_col = _concat_columns(arrays, window_days)
-    order = _address_day_order(hi, lo, day_col)
-    window = _SortedWindow(
-        hi[order], lo[order], day_col[order], margin=window_before + window_after + 1
+    ids, count = _address_ids(
+        np.concatenate([array["hi"] for array in arrays]),
+        np.concatenate([array["lo"] for array in arrays]),
     )
-    # Mark which sorted positions belong to reference days (boundary days
-    # are context only — their own windows extend outside this chunk).
-    span = int(window.day.max()) - window.offset + 1
-    is_ref = np.zeros(span, dtype=bool)
-    for day in ref_days:
-        if 0 <= day - window.offset < span:
-            is_ref[day - window.offset] = True
-    qpos = np.nonzero(is_ref[window.day - window.offset])[0]
-    gaps_all = np.empty(total, dtype=np.int64)
-    if qpos.shape[0]:
-        qday = window.day[qpos]
-        first, last = window.extremes(qpos, qday - window_before, qday + window_after)
-        gaps_all[order[qpos]] = last - first
     starts = np.concatenate([[0], np.cumsum(sizes)])
-    day_index = {day: i for i, day in enumerate(window_days)}
+    # Canonical days hold no repeated ids, so the fancy-index OR is exact.
+    words = np.zeros(count, dtype=np.uint64)
+    for bit in range(len(window_days)):
+        words[ids[starts[bit] : starts[bit + 1]]] |= np.uint64(1 << bit)
+    held = np.asarray(window_days, dtype=np.int64)
+    position = {day: i for i, day in enumerate(window_days)}
     out: List[Tuple[int, np.ndarray]] = []
     for day in ref_days:
-        i = day_index.get(day)
+        i = position.get(day)
         if i is None:
             out.append((day, np.empty(0, dtype=np.int64)))
         else:
-            out.append((day, gaps_all[starts[i] : starts[i + 1]]))
+            gaps = _window_gaps(
+                words[ids[starts[i] : starts[i + 1]]],
+                held,
+                day - window_before,
+                day + window_after,
+            )
+            out.append((day, gaps))
     return out
 
 
@@ -309,8 +247,8 @@ def sweep_days(
     instead of once per overlapping window.  ``days`` defaults to every
     day in the store; days absent from the store yield empty results.
 
-    ``jobs`` fans chunks of ``chunk_days`` reference days out over
-    supervised fork-based worker processes (``0`` = all CPUs,
+    ``jobs`` fans chunks of at most ``chunk_days`` reference days out
+    over supervised fork-based worker processes (``0`` = all CPUs,
     ``None``/``1`` = serial); ``checkpoint_dir`` persists each completed
     chunk atomically so a killed sweep resumes from its last checkpoint;
     ``report_sink`` receives the pool's
@@ -358,10 +296,10 @@ def sweep_granularities(
     back.  ``checkpoint_dir`` and ``report_sink`` behave as in
     :func:`sweep_days` (the report has ``tasks=0`` when every chunk came
     from checkpoints); checkpoint entries are keyed by granularity and
-    chunk index.
+    chunk index.  A window wider than :data:`WORD_DAYS` days raises
+    ``ValueError``.
     """
-    if window_before < 0 or window_after < 0:
-        raise ValueError("window spans must be non-negative")
+    _check_window(window_before, window_after)
     if chunk_days < 1:
         raise ValueError(f"chunk_days must be >= 1: {chunk_days}")
     stores = {
@@ -371,14 +309,14 @@ def sweep_granularities(
     ref_days = _normalized_days(observations, days)
     if not ref_days:
         return {p: [] for p in stores}
-    chunks = _plan_chunks(ref_days, chunk_days)
+    # Each chunk's window must fit one presence word.
+    span = min(chunk_days, WORD_DAYS - window_before - window_after)
+    chunks = _plan_chunks(ref_days, span)
     checkpoint: Optional[SweepCheckpoint] = None
     if checkpoint_dir is not None:
         checkpoint = SweepCheckpoint(
             checkpoint_dir,
-            sweep_signature(
-                stores, ref_days, window_before, window_after, chunk_days
-            ),
+            sweep_signature(stores, ref_days, window_before, window_after, span),
         )
     gaps: Dict[int, Dict[int, np.ndarray]] = {key: {} for key in stores}
     #: (store key, chunk index, chunk) of every chunk still to compute.
@@ -455,12 +393,11 @@ class SweepState:
     Days enter with :meth:`push_day` (chronological order) and leave with
     :meth:`evict_before`; :meth:`classify` answers for any buffered
     reference day, bit-identical to ``classify_day`` over a store holding
-    the same days.  The buffered observations are kept as merged
-    ``(hi, lo, day)`` columns in that sort order.  Nothing is ever
-    re-sorted: a pushed day is later than every buffered day, so its
-    addresses go after their equal-address runs and are scattered in at
-    their insertion points; eviction masks old days out, which keeps the
-    order.  Both cost O(window) per day.
+    the same days.  The state is a table of the distinct buffered
+    addresses sorted by ``(hi, lo)`` with one presence word each; bit
+    ``k`` stands for the ``k``-th buffered day, so a buffered day's
+    addresses are the rows with its bit set.  At most :data:`WORD_DAYS`
+    days can be buffered at once.
     """
 
     def __init__(
@@ -468,98 +405,109 @@ class SweepState:
         window_before: int = DEFAULT_WINDOW_BEFORE,
         window_after: int = DEFAULT_WINDOW_AFTER,
     ) -> None:
-        if window_before < 0 or window_after < 0:
-            raise ValueError("window spans must be non-negative")
+        _check_window(window_before, window_after)
         self.window_before = window_before
         self.window_after = window_after
-        #: (day, observation count) of every buffered day, oldest first.
-        self._days: Deque[Tuple[int, int]] = deque()
+        #: Buffered days, oldest first; position = bit index.
+        self._days: List[int] = []
         self._hi = np.empty(0, dtype=np.uint64)
         self._lo = np.empty(0, dtype=np.uint64)
-        self._day = np.empty(0, dtype=np.int64)
-        self._window: Optional[_SortedWindow] = None
+        self._words = np.empty(0, dtype=np.uint64)
+        self._last_day: Optional[int] = None
 
     @property
     def days_held(self) -> int:
         """Number of days currently buffered."""
         return len(self._days)
 
+    @property
+    def last_day(self) -> Optional[int]:
+        """The most recently pushed day (evicted or not), if any."""
+        return self._last_day
+
     def push_day(self, day: int, addresses: np.ndarray) -> None:
-        """Merge one day's addresses into the live window."""
+        """Add one day's addresses to the live window."""
         day = int(day)
-        if self._days and day <= self._days[-1][0]:
+        if self._last_day is not None and day <= self._last_day:
             raise ValueError(
                 f"days must be pushed in increasing order: {day} after "
-                f"{self._days[-1][0]}"
+                f"{self._last_day}"
+            )
+        if len(self._days) == WORD_DAYS:
+            raise ValueError(
+                f"cannot buffer more than {WORD_DAYS} days; evict before pushing"
             )
         array = _as_address_array(addresses)
-        new = array.shape[0]
-        self._days.append((day, new))
-        if new == 0:
+        bit = np.uint64(1 << len(self._days))
+        self._days.append(day)
+        self._last_day = day
+        if array.shape[0] == 0:
             return
-        slots = _insertion_points(self._hi, self._lo, array["hi"], array["lo"])
-        slots += np.arange(new)
-        total = self._day.shape[0] + new
+        new_hi, new_lo = array["hi"], array["lo"]
+        points = _insertion_points(self._hi, self._lo, new_hi, new_lo)
+        # An address already held sits just before its insertion point.
+        prev = np.maximum(points - 1, 0)
+        seen = points > 0
+        if self._hi.shape[0]:
+            seen &= (self._hi[prev] == new_hi) & (self._lo[prev] == new_lo)
+        self._words[prev[seen]] |= bit
+        fresh = np.nonzero(~seen)[0]
+        if fresh.shape[0] == 0:
+            return
+        slots = points[fresh] + np.arange(fresh.shape[0])
+        total = self._words.shape[0] + fresh.shape[0]
         old = np.ones(total, dtype=bool)
         old[slots] = False
         hi = np.empty(total, dtype=np.uint64)
-        hi[slots] = array["hi"]
+        hi[slots] = new_hi[fresh]
         hi[old] = self._hi
         lo = np.empty(total, dtype=np.uint64)
-        lo[slots] = array["lo"]
+        lo[slots] = new_lo[fresh]
         lo[old] = self._lo
-        days = np.empty(total, dtype=np.int64)
-        days[slots] = day
-        days[old] = self._day
-        self._hi, self._lo, self._day = hi, lo, days
-        self._window = None
+        words = np.empty(total, dtype=np.uint64)
+        words[slots] = bit
+        words[old] = self._words
+        self._hi, self._lo, self._words = hi, lo, words
 
     def evict_before(self, day: int) -> None:
         """Drop buffered days earlier than ``day`` from the window."""
-        dropped = 0
-        while self._days and self._days[0][0] < day:
-            dropped += self._days.popleft()[1]
-        if dropped:
-            keep = self._day >= day
-            self._hi = self._hi[keep]
-            self._lo = self._lo[keep]
-            self._day = self._day[keep]
-            self._window = None
-
-    def _sorted_window(self) -> Optional[_SortedWindow]:
-        if self._window is None and self._day.shape[0]:
-            self._window = _SortedWindow(
-                self._hi,
-                self._lo,
-                self._day,
-                margin=self.window_before + self.window_after + 1,
-            )
-        return self._window
+        dropped = bisect_left(self._days, day)
+        if dropped == 0:
+            return
+        del self._days[:dropped]
+        if not self._days:  # no row is live (and a 64-bit shift is undefined)
+            self._hi, self._lo = self._hi[:0], self._lo[:0]
+            self._words = self._words[:0]
+            return
+        words = self._words >> np.uint64(dropped)
+        live = words != 0
+        self._hi = self._hi[live]
+        self._lo = self._lo[live]
+        self._words = words[live]
 
     def classify(self, reference: int) -> StabilityResult:
         """Classify a buffered reference day within the live window.
 
         Days outside ``[reference - before, reference + after]`` that are
-        still buffered (e.g. after a gap jump) are excluded by the key
-        query, not by eviction, so classification never depends on
-        eviction timing.
+        still buffered (e.g. after a gap jump) are masked out of the
+        words, not evicted, so classification never depends on eviction
+        timing.  A day not buffered classifies as empty.
         """
         reference = int(reference)
-        window = self._sorted_window()
-        if window is None:
-            qpos = np.empty(0, dtype=np.int64)
+        position = bisect_left(self._days, reference)
+        if position < len(self._days) and self._days[position] == reference:
+            rows = np.nonzero(self._words & np.uint64(1 << position))[0]
         else:
-            qpos = np.nonzero(window.day == reference)[0]
-        active = np.empty(qpos.shape[0], dtype=ADDRESS_DTYPE)
-        if qpos.shape[0]:
-            active["hi"] = window.hi[qpos]
-            active["lo"] = window.lo[qpos]
-            first, last = window.extremes(
-                qpos, reference - self.window_before, reference + self.window_after
-            )
-            gaps = last - first
-        else:
-            gaps = np.empty(0, dtype=np.int64)
+            rows = np.empty(0, dtype=np.intp)
+        active = np.empty(rows.shape[0], dtype=ADDRESS_DTYPE)
+        active["hi"] = self._hi[rows]
+        active["lo"] = self._lo[rows]
+        gaps = _window_gaps(
+            self._words[rows],
+            np.asarray(self._days, dtype=np.int64),
+            reference - self.window_before,
+            reference + self.window_after,
+        )
         return StabilityResult(
             reference_day=reference,
             window=(self.window_before, self.window_after),
