@@ -16,6 +16,12 @@ are non-trivial):
   (:func:`repro.core.sweep.sweep_granularities`).
 * **stream** — :class:`repro.core.streaming.StabilityStream` fed day by
   day (the online path, including its flush tail).
+* **sweep_cached_cold** / **sweep_cached_warm** — serial ``sweep_days``
+  over the store written with ``save_store`` and loaded with
+  ``load_store`` through a day cache: cold computes each chunk's
+  address ids and writes them to the cache, warm loads them.  Each runs
+  in a fresh process (a warm ``repro-sweep`` on a cached store), which
+  reports its peak RSS and the digests of its results.
 
 All sweep and stream outputs are asserted bit-identical to the per-day
 baseline before any speedup is reported.  ``stream_vs_sweep_serial``
@@ -36,11 +42,16 @@ module — run it as a script.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import multiprocessing
 import os
 import platform
+import resource
 import sys
+import tempfile
 import time
+from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -53,6 +64,7 @@ from repro.core.streaming import StabilityStream  # noqa: E402
 from repro.core.sweep import sweep_days, sweep_granularities  # noqa: E402
 from repro.core.temporal import StabilityResult, classify_day  # noqa: E402
 from repro.data import store as obstore  # noqa: E402
+from repro.data.logfile import load_store, save_store  # noqa: E402
 from repro.data.store import DailyObservations, ObservationStore  # noqa: E402
 
 
@@ -143,6 +155,88 @@ def _assert_identical(
         )
 
 
+def _digests(results: List[StabilityResult]) -> List[str]:
+    return [
+        hashlib.sha256(
+            f"{r.reference_day}:".encode()
+            + r.active.tobytes()
+            + r.gaps.astype(np.int64).tobytes()
+        ).hexdigest()
+        for r in results
+    ]
+
+
+def _peak_rss_mb() -> float:
+    """This process's peak RSS.
+
+    Linux's ``VmHWM`` belongs to the running program alone;
+    ``ru_maxrss`` (KiB on Linux, B on macOS) also counts the RSS of the
+    process this one was forked from before its ``exec``.
+    """
+    try:
+        with open("/proc/self/status", encoding="ascii") as handle:
+            for line in handle:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024
+    except OSError:
+        pass
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20) if sys.platform == "darwin" else peak / 1024
+
+
+def _cached_sweep(paths: List[str], cache_dir: str) -> Dict:
+    """Load the logs through the day cache and time a serial sweep.
+
+    Runs in a fresh process, so its peak RSS is that of one cached
+    ``repro-sweep`` run alone (the cold run's includes parsing the
+    text into the day cache).
+    """
+    start = time.perf_counter()
+    store = load_store(paths, cache_dir=cache_dir)
+    load_s = time.perf_counter() - start
+    seconds, swept = _timed(lambda: sweep_days(store))
+    return {
+        "load_s": load_s,
+        "sweep_s": seconds,
+        "peak_rss_mb": _peak_rss_mb(),
+        "digests": _digests(swept),
+    }
+
+
+def _cache_bytes(cache_dir: str, kind: str) -> int:
+    return sum(
+        os.path.getsize(os.path.join(cache_dir, name))
+        for name in os.listdir(cache_dir)
+        if name.startswith(kind + "-")
+    )
+
+
+def run_cached(
+    store: ObservationStore, baseline: List[str], results: Dict[str, float]
+) -> Dict:
+    """The ``sweep_cached_cold``/``_warm`` rows, checked against the
+    per-day baseline's digests; returns their load times, peak RSS and
+    cache sizes."""
+    spawn = multiprocessing.get_context("spawn")
+    detail: Dict[str, float] = {}
+    with tempfile.TemporaryDirectory() as workdir:
+        paths = save_store(store, os.path.join(workdir, "logs"))
+        cache_dir = os.path.join(workdir, "cache")
+        for row in ("cold", "warm"):
+            with ProcessPoolExecutor(1, mp_context=spawn) as pool:
+                run = pool.submit(_cached_sweep, paths, cache_dir).result()
+            assert run["digests"] == baseline, f"sweep_cached_{row} differs"
+            results[f"sweep_cached_{row}"] = run["sweep_s"]
+            detail[f"{row}_load_s"] = round(run["load_s"], 4)
+            detail[f"{row}_peak_rss_mb"] = round(run["peak_rss_mb"], 1)
+        day_bytes = _cache_bytes(cache_dir, "day")
+        ids_bytes = _cache_bytes(cache_dir, "ids")
+    detail["day_entries_mb"] = round(day_bytes / (1 << 20), 1)
+    detail["ids_entries_mb"] = round(ids_bytes / (1 << 20), 1)
+    detail["cache_growth"] = round(ids_bytes / day_bytes, 3)
+    return detail
+
+
 def run_benchmark(
     days: int,
     addrs_per_day: int,
@@ -191,6 +285,8 @@ def run_benchmark(
     both = None
     results["stream"], streamed = _timed(run_stream)
     _assert_identical("stream", per_day, streamed)
+    streamed = None
+    cached = run_cached(store, _digests(per_day), results)
 
     speedups = {
         "sweep_vs_per_day": results["per_day"] / results["sweep_serial"],
@@ -198,6 +294,8 @@ def run_benchmark(
         "sweep_jobs_vs_serial": results["sweep_serial"] / results["sweep_jobs"],
         "stream_vs_per_day": results["per_day"] / results["stream"],
         "stream_vs_sweep_serial": results["sweep_serial"] / results["stream"],
+        "sweep_cached_warm_vs_serial": results["sweep_serial"]
+        / results["sweep_cached_warm"],
     }
     if "per_day_seed" in results:
         speedups["per_day_vs_seed"] = results["per_day_seed"] / results["per_day"]
@@ -215,11 +313,15 @@ def run_benchmark(
         },
         "seconds": {k: round(v, 4) for k, v in results.items()},
         "speedups": {k: round(v, 2) for k, v in speedups.items()},
+        "cached": cached,
         "verified": "bit-identical to per-day classify_day",
         "targets": {
             "sweep_vs_per_day >= 5x": round(speedups["sweep_vs_per_day"], 2),
             "stream_vs_sweep_serial >= 0.67": round(
                 speedups["stream_vs_sweep_serial"], 2
+            ),
+            "sweep_cached_warm_vs_serial >= 3x": round(
+                speedups["sweep_cached_warm_vs_serial"], 2
             ),
         },
     }

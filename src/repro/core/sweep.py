@@ -20,8 +20,12 @@ the streaming state both compute every gap through it.
   :data:`WORD_DAYS` days.  Each distinct address of a chunk gets a dense
   id, each window day ORs its bit into the words of its ids, and each
   reference day's gaps are read in that day's own array order, so
-  nothing is scattered back.  Chunks are the unit of checkpointing and
-  of the fork-based fan-out, across day ranges and prefix granularities.
+  nothing is scattered back.  The ids depend only on the window days'
+  contents, so for a store loaded through a day cache they are kept in
+  that cache (:mod:`repro.data.daycache` ids entries) and a warm rerun
+  loads them instead of sorting.  Chunks are the unit of checkpointing
+  and of the fork-based fan-out (one task per chunk, covering every
+  granularity it still lacks).
 * **Streaming** (:class:`SweepState`): a table of the distinct buffered
   addresses, sorted by ``(hi, lo)``, with their words.  A pushed day
   inserts only addresses not yet in the table; evicting days shifts the
@@ -46,6 +50,7 @@ from repro.core.temporal import (
     DEFAULT_WINDOW_BEFORE,
     StabilityResult,
 )
+from repro.data import daycache
 from repro.data.store import ADDRESS_DTYPE, ObservationStore
 from repro.runtime.checkpoint import SweepCheckpoint, sweep_signature
 from repro.runtime.pool import PoolConfig, RunReport, supervised_map
@@ -60,6 +65,9 @@ WORD_DAYS = 64
 DEFAULT_CHUNK_DAYS = 50
 
 _ONE = np.uint64(1)
+
+#: Rows a chunk window may hold for its ids to be persisted as int32.
+_INT32_MAX = int(np.iinfo(np.int32).max)
 
 
 def _check_window(window_before: int, window_after: int) -> None:
@@ -169,6 +177,62 @@ def _plan_chunks(ref_days: Sequence[int], chunk_days: int) -> List[List[int]]:
     return chunks
 
 
+def _window_digests(
+    observations: ObservationStore, window_days: Sequence[int]
+) -> Optional[Tuple[int, List[Tuple[int, str]]]]:
+    """``(prefix_len, [(day, digest), ...])`` when every window day is a
+    day-cache entry cut to one prefix length, else None."""
+    pairs: List[Tuple[int, str]] = []
+    lengths: "set[int]" = set()
+    for day in window_days:
+        held = observations.get(day)
+        tag = None if held is None else held.cache_tag
+        if tag is None:
+            return None
+        pairs.append((day, tag[0]))
+        lengths.add(tag[1])
+    if len(lengths) != 1:
+        return None
+    return lengths.pop(), pairs
+
+
+def _chunk_ids(
+    observations: ObservationStore,
+    window_days: Sequence[int],
+    arrays: Sequence[np.ndarray],
+    rows: int,
+) -> Tuple[np.ndarray, int]:
+    """:func:`_address_ids` of a chunk window's concatenated rows, kept
+    in the store's day cache when every window day is a cache entry.
+
+    A valid ids entry is served as int32 ids without concatenating or
+    sorting anything.  A miss, or an entry that fails validation, is
+    computed and written back; a write that fails (read-only cache,
+    full disk) only means the next run computes the ids again.
+    """
+    cache_dir = observations.cache_dir
+    tagged = _window_digests(observations, window_days)
+    if cache_dir is None or tagged is None or rows > _INT32_MAX:
+        return _address_ids(
+            np.concatenate([array["hi"] for array in arrays]),
+            np.concatenate([array["lo"] for array in arrays]),
+        )
+    key = daycache.ids_key(*tagged)
+    cached = daycache.load_ids(cache_dir, key, rows)
+    if cached is not None:
+        return cached
+    ids, count = _address_ids(
+        np.concatenate([array["hi"] for array in arrays]),
+        np.concatenate([array["lo"] for array in arrays]),
+    )
+    ids = ids.astype(np.int32)
+    try:
+        daycache.store_ids(cache_dir, key, tagged[1], ids, count)
+    except OSError:
+        pass  # not persisted: the next run computes these ids again
+    return ids, count
+
+
 def _sweep_chunk(
     observations: ObservationStore,
     ref_days: Sequence[int],
@@ -189,10 +253,7 @@ def _sweep_chunk(
     sizes = [array.shape[0] for array in arrays]
     if sum(sizes) == 0:
         return [(day, np.empty(0, dtype=np.int64)) for day in ref_days]
-    ids, count = _address_ids(
-        np.concatenate([array["hi"] for array in arrays]),
-        np.concatenate([array["lo"] for array in arrays]),
-    )
+    ids, count = _chunk_ids(observations, window_days, arrays, sum(sizes))
     starts = np.concatenate([[0], np.cumsum(sizes)])
     # Canonical days hold no repeated ids, so the fancy-index OR is exact.
     words = np.zeros(count, dtype=np.uint64)
@@ -287,17 +348,20 @@ def sweep_granularities(
     ``{prefix_len: results}`` with each list equal to
     :func:`sweep_days` on the derived store.
 
-    Every (granularity, chunk) pair is one task of a single
-    :func:`repro.runtime.pool.supervised_map` call, so parallelism spans
-    both disjoint day ranges and prefix granularities, and a
-    two-granularity year sweep keeps ``jobs`` workers busy throughout.
-    The mapped function is a closure over the derived stores, which
-    forked workers inherit copy-on-write; only each chunk's gaps travel
-    back.  ``checkpoint_dir`` and ``report_sink`` behave as in
+    Each chunk is one task of a single
+    :func:`repro.runtime.pool.supervised_map` call that sweeps every
+    granularity the chunk still lacks.  The mapped function is a closure
+    over the derived stores, which forked workers inherit copy-on-write;
+    only each chunk's gaps travel back, as ``int8`` (a gap is at most
+    ``before + after`` < :data:`WORD_DAYS` days), widened to ``int64``
+    here.  A store loaded through a day cache keeps each chunk's address
+    ids there (see :func:`_chunk_ids`), so a warm rerun sorts nothing.
+    ``checkpoint_dir`` and ``report_sink`` behave as in
     :func:`sweep_days` (the report has ``tasks=0`` when every chunk came
     from checkpoints); checkpoint entries are keyed by granularity and
-    chunk index.  A window wider than :data:`WORD_DAYS` days raises
-    ``ValueError``.
+    chunk index, so a chunk resumed with one granularity on disk
+    computes only the other.  A window wider than :data:`WORD_DAYS`
+    days raises ``ValueError``.
     """
     _check_window(window_before, window_after)
     if chunk_days < 1:
@@ -319,26 +383,44 @@ def sweep_granularities(
             sweep_signature(stores, ref_days, window_before, window_after, span),
         )
     gaps: Dict[int, Dict[int, np.ndarray]] = {key: {} for key in stores}
-    #: (store key, chunk index, chunk) of every chunk still to compute.
-    tasks: List[Tuple[int, int, List[int]]] = []
-    for key in stores:
-        for chunk_index, chunk in enumerate(chunks):
+    #: (chunk index, chunk, store keys still to compute) of every chunk
+    #: with work left.
+    tasks: List[Tuple[int, List[int], List[int]]] = []
+    for chunk_index, chunk in enumerate(chunks):
+        missing: List[int] = []
+        for key in stores:
+            cached = None
             if checkpoint is not None:
                 cached = checkpoint.load_chunk(key, chunk_index, chunk)
-                if cached is not None:
-                    gaps[key].update(cached)
-                    continue
-            tasks.append((key, chunk_index, chunk))
+            if cached is None:
+                missing.append(key)
+            else:
+                gaps[key].update(cached)
+        if missing:
+            tasks.append((chunk_index, chunk, missing))
 
-    def sweep_chunk(task: Tuple[int, int, List[int]]) -> List[Tuple[int, np.ndarray]]:
-        key, _chunk_index, chunk = task
-        return _sweep_chunk(stores[key], chunk, window_before, window_after)
+    def sweep_chunk(
+        task: Tuple[int, List[int], List[int]]
+    ) -> List[List[Tuple[int, np.ndarray]]]:
+        _chunk_index, chunk, keys = task
+        # A gap is at most before + after <= 63 days: int8 travels back.
+        return [
+            [
+                (day, day_gaps.astype(np.int8))
+                for day, day_gaps in _sweep_chunk(
+                    stores[key], chunk, window_before, window_after
+                )
+            ]
+            for key in keys
+        ]
 
-    def on_result(index: int, chunk_result: List[Tuple[int, np.ndarray]]) -> None:
-        key, chunk_index, _chunk = tasks[index]
-        gaps[key].update(chunk_result)
-        if checkpoint is not None:
-            checkpoint.save_chunk(key, chunk_index, chunk_result)
+    def on_result(index: int, per_key: List[List[Tuple[int, np.ndarray]]]) -> None:
+        chunk_index, _chunk, keys = tasks[index]
+        for key, pairs in zip(keys, per_key):
+            widened = [(day, day_gaps.astype(np.int64)) for day, day_gaps in pairs]
+            gaps[key].update(widened)
+            if checkpoint is not None:
+                checkpoint.save_chunk(key, chunk_index, widened)
 
     supervised_map(
         sweep_chunk,

@@ -7,12 +7,16 @@ This module persists each day's parsed result (sorted, deduplicated
 ``.npy`` file so warm re-runs skip text entirely and load via
 ``np.load(..., mmap_mode="r")``.
 
-Layout — one pair of files per distinct source-file *content*::
+Layout — one pair of files per distinct source-file *content*, and one
+pair per swept chunk window::
 
     <cache_dir>/day-<sha256[:24]>.npy        # columns: hi, lo, hits (uint64)
     <cache_dir>/day-<sha256[:24]>.meta.json  # {"version", "sha256", "day", "source", "rows"}
+    <cache_dir>/ids-<key[:24]>.npy           # int32 dense address id per window row
+    <cache_dir>/ids-<key[:24]>.meta.json     # {"version", "key", "rows", "count",
+                                             #  "sha256", "digests"}
 
-Entries are keyed by the SHA-256 of the source file's bytes, so:
+Day entries are keyed by the SHA-256 of the source file's bytes, so:
 
 * editing a log file changes its digest and the stale entry simply
   stops matching — stale reuse cannot occur;
@@ -20,22 +24,34 @@ Entries are keyed by the SHA-256 of the source file's bytes, so:
 * a corrupted or truncated cache entry fails verification and is
   rebuilt from the text source.
 
-Writes go through a temp file + ``os.replace`` so concurrent loaders
-(e.g. ``load_store(jobs=8, cache_dir=...)``) never observe a partial
-entry.
+Ids entries hold the sweep's dense address ids of one chunk window
+(:func:`repro.core.sweep._sweep_chunk`), the window days' rows
+concatenated in day order.  They are a pure function of the window
+days' payloads and the prefix length, so their key (:func:`ids_key`)
+hashes exactly those: the ordered ``(day, digest)`` pairs of the day
+entries, the prefix length, and both format versions.  The meta
+records the payload's SHA-256; an entry that fails any check is
+recomputed and rewritten, never trusted.  :func:`prune` drops an ids
+entry once any day entry it was built from is dropped.
+
+Writes go through a temp file + ``os.replace``
+(:func:`repro.runtime.atomicio.atomic_write_bytes`) so concurrent
+loaders (e.g. ``load_store(jobs=8, cache_dir=...)``) never observe a
+partial entry.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
-import tempfile
-from typing import Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.data import logfile
+from repro.runtime.atomicio import atomic_write_bytes
 from repro.runtime.quarantine import (
     ERRORS_QUARANTINE,
     ERRORS_STRICT,
@@ -45,6 +61,9 @@ from repro.runtime.quarantine import (
 
 #: Bump when the on-disk layout changes; mismatched entries are rebuilt.
 CACHE_VERSION = 1
+
+#: Bump when the ids entry layout changes; it is part of every ids key.
+IDS_VERSION = 1
 
 #: Columnar record stored per address: the two 64-bit halves + hit count.
 CACHE_DTYPE = np.dtype([("hi", "<u8"), ("lo", "<u8"), ("hits", "<u8")])
@@ -70,27 +89,11 @@ def cache_paths(cache_dir: str, digest: str) -> Tuple[str, str]:
     return f"{stem}.npy", f"{stem}.meta.json"
 
 
-def _atomic_write_bytes(path: str, payload: bytes) -> None:
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-def _atomic_save_array(path: str, array: np.ndarray) -> None:
-    import io
-
+def _npy_bytes(array: np.ndarray) -> bytes:
+    """``array`` serialized in the ``.npy`` format."""
     buffer = io.BytesIO()
     np.save(buffer, array, allow_pickle=False)
-    _atomic_write_bytes(path, buffer.getvalue())
+    return buffer.getvalue()
 
 
 def _try_load(
@@ -161,7 +164,7 @@ def store_day(
     record["hi"] = hi
     record["lo"] = lo
     record["hits"] = hits
-    _atomic_save_array(npy_path, record)
+    atomic_write_bytes(npy_path, _npy_bytes(record))
     meta = {
         "version": CACHE_VERSION,
         "sha256": digest,
@@ -171,9 +174,7 @@ def store_day(
     }
     # Meta lands after the array: a reader that sees the meta can trust
     # the array it points at (both replaced atomically).
-    _atomic_write_bytes(
-        meta_path, json.dumps(meta, sort_keys=True).encode("utf-8")
-    )
+    atomic_write_bytes(meta_path, json.dumps(meta, sort_keys=True).encode("utf-8"))
     return npy_path
 
 
@@ -218,7 +219,10 @@ def load_day(
     digest, cached, corrupt_reason = lookup(path, cache_dir)
     if cached is not None:
         return cached
-    return _parse_on_miss(path, cache_dir, digest, corrupt_reason, errors, report)
+    columns, _written = _parse_on_miss(
+        path, cache_dir, digest, corrupt_reason, errors, report
+    )
+    return columns
 
 
 def _parse_on_miss(
@@ -228,12 +232,14 @@ def _parse_on_miss(
     corrupt_reason: Optional[str],
     errors: str,
     report: Optional[QuarantineReport],
-) -> DayColumns:
+) -> Tuple[DayColumns, bool]:
     """The miss half of :func:`load_day`: parse ``path``, write it back.
 
     ``digest`` and ``corrupt_reason`` come from a prior :func:`lookup`
     of the same file, so a caller that probed already does not hash the
-    file twice.
+    file twice.  Returns the columns and whether they were written back
+    (a quarantined parse is not), i.e. whether they are now the cache
+    entry of ``digest``.
     """
     quarantine = check_errors_mode(errors) == ERRORS_QUARANTINE
     if quarantine and report is None:
@@ -255,15 +261,119 @@ def _parse_on_miss(
     )
     if not dirty:
         store_day(cache_dir, digest, path, day, hi, lo, hits)
-    return day, hi, lo, hits
+    return (day, hi, lo, hits), not dirty
+
+
+def ids_key(prefix_len: int, day_digests: Sequence[Tuple[int, str]]) -> str:
+    """The key of the ids entry for one chunk window.
+
+    ``day_digests`` are the window's ``(day, day-entry digest)`` pairs
+    in day order; ``prefix_len`` is the length the window's addresses
+    were cut to.
+    """
+    header = {
+        "ids_version": IDS_VERSION,
+        "cache_version": CACHE_VERSION,
+        "prefix_len": int(prefix_len),
+        "days": [[int(day), digest] for day, digest in day_digests],
+    }
+    return hashlib.sha256(json.dumps(header, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+def ids_paths(cache_dir: str, key: str) -> Tuple[str, str]:
+    """The (.npy, .meta.json) paths of the ids entry for ``key``."""
+    stem = os.path.join(cache_dir, f"ids-{key[:_DIGEST_CHARS]}")
+    return f"{stem}.npy", f"{stem}.meta.json"
+
+
+def load_ids(cache_dir: str, key: str, rows: int) -> Optional[Tuple[np.ndarray, int]]:
+    """The cached ``(ids, count)`` of a chunk window, or None to recompute.
+
+    ``rows`` is the window's observation count.  Validation mirrors the
+    sweep checkpoints: version, key, field types, the payload's
+    SHA-256, its dtype and shape, and the id range must all hold; any
+    failure (absent, truncated, damaged or wrong-type entry) is a miss,
+    never an exception.
+    """
+    npy_path, meta_path = ids_paths(cache_dir, key)
+    try:
+        with open(meta_path, "r", encoding="utf-8") as handle:
+            meta = json.load(handle)
+        if not isinstance(meta, dict):
+            return None
+        count = meta.get("count")
+        recorded = meta.get("sha256")
+        if (
+            meta.get("version") != IDS_VERSION
+            or meta.get("key") != key
+            or meta.get("rows") != rows
+            or not isinstance(count, int)
+            or isinstance(count, bool)
+            or not isinstance(recorded, str)
+        ):
+            return None
+        with open(npy_path, "rb") as handle:
+            payload = handle.read()
+        if hashlib.sha256(payload).hexdigest() != recorded:
+            return None
+        ids = np.load(io.BytesIO(payload), allow_pickle=False)
+    except (OSError, ValueError, EOFError):
+        return None
+    if ids.dtype != np.int32 or ids.shape != (rows,):
+        return None
+    if rows and (int(ids.min()) < 0 or int(ids.max()) >= count):
+        return None
+    return ids, count
+
+
+def store_ids(
+    cache_dir: str,
+    key: str,
+    day_digests: Sequence[Tuple[int, str]],
+    ids: np.ndarray,
+    count: int,
+) -> None:
+    """Persist a chunk window's int32 ids under ``key``, payload first.
+
+    Raises :class:`OSError` when the cache cannot be written.
+    """
+    npy_path, meta_path = ids_paths(cache_dir, key)
+    payload = _npy_bytes(np.ascontiguousarray(ids, dtype=np.int32))
+    atomic_write_bytes(npy_path, payload)
+    meta = {
+        "version": IDS_VERSION,
+        "key": key,
+        "rows": int(ids.shape[0]),
+        "count": int(count),
+        "sha256": hashlib.sha256(payload).hexdigest(),
+        "digests": [digest for _day, digest in day_digests],
+    }
+    atomic_write_bytes(meta_path, json.dumps(meta, sort_keys=True).encode("utf-8"))
+
+
+def _ids_entry_kept(cache_dir: str, stem: str, keep_digests: "set[str]") -> bool:
+    """True when every day digest the ids entry ``stem`` lists is kept."""
+    try:
+        with open(
+            os.path.join(cache_dir, f"ids-{stem}.meta.json"), "r", encoding="utf-8"
+        ) as handle:
+            meta = json.load(handle)
+    except (OSError, ValueError):
+        return False  # no readable meta: the payload is unreachable
+    digests = meta.get("digests") if isinstance(meta, dict) else None
+    return isinstance(digests, list) and all(
+        isinstance(digest, str) and digest in keep_digests for digest in digests
+    )
 
 
 def prune(cache_dir: str, keep_digests: "set[str]") -> int:
     """Delete cache entries whose digest is not in ``keep_digests``.
 
-    Returns the number of entries removed.  Useful for housekeeping
-    after source logs are rewritten; never required for correctness
-    (stale entries are unreachable by construction).
+    Day entries go when their digest is not kept; ids entries go unless
+    every day digest their meta lists is kept (or when their meta is
+    unreadable).  Returns the number of files removed.  Useful for
+    housekeeping after source logs are rewritten; never required for
+    correctness (stale entries are unreachable by construction).
     """
     removed = 0
     try:
@@ -271,11 +381,18 @@ def prune(cache_dir: str, keep_digests: "set[str]") -> int:
     except OSError:
         return 0
     keep_prefixes = {digest[:_DIGEST_CHARS] for digest in keep_digests}
+    ids_kept: Dict[str, bool] = {}
     for name in names:
-        if not name.startswith("day-"):
-            continue
         stem = name[4:].split(".", 1)[0]
-        if stem in keep_prefixes:
+        if name.startswith("day-"):
+            if stem in keep_prefixes:
+                continue
+        elif name.startswith("ids-"):
+            if stem not in ids_kept:
+                ids_kept[stem] = _ids_entry_kept(cache_dir, stem, keep_digests)
+            if ids_kept[stem]:
+                continue
+        else:
             continue
         try:
             os.unlink(os.path.join(cache_dir, name))

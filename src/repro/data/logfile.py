@@ -504,8 +504,9 @@ def read_daily_log_arrays(
 #: parent did not probe (no cache, or the probe failed).
 _DayTask = Tuple[str, Optional[Tuple[str, Optional[str]]]]
 
-#: A loaded day: (payload or None for a lost day, delta report).
-_DayResult = Tuple[Optional[_Columns], Optional[QuarantineReport]]
+#: A loaded day: (payload or None for a lost day, delta report, and the
+#: day-cache digest when the payload is that cache entry).
+_DayResult = Tuple[Optional[_Columns], Optional[QuarantineReport], Optional[str]]
 
 
 def _load_day(
@@ -526,6 +527,7 @@ def _load_day(
     """
     quarantine = errors == ERRORS_QUARANTINE
     delta = QuarantineReport() if quarantine else None
+    cached_as: Optional[str] = None
     try:
         if cache_dir is None:
             payload = read_daily_log_arrays(path, errors=errors, report=delta)
@@ -538,16 +540,17 @@ def _load_day(
                 )
             else:
                 digest, corrupt_reason = probe
-                payload = daycache._parse_on_miss(
+                payload, written = daycache._parse_on_miss(
                     path, cache_dir, digest, corrupt_reason, errors, delta
                 )
+                cached_as = digest if written else None
     except OSError as exc:
         if not quarantine:
             raise
         assert delta is not None
         delta.day_fault(path, "unreadable-file", str(exc))
-        return None, delta
-    return payload, delta
+        return None, delta, None
+    return payload, delta, cached_as
 
 
 def _probe_cache(
@@ -579,7 +582,7 @@ def _probe_cache(
                 if cached is not None:
                     day, hi, lo, hits = cached
                     columns = (day, np.array(hi), np.array(lo), np.array(hits))
-                    served[index] = (columns, None)
+                    served[index] = (columns, None, digest)
                     continue
                 probe = (digest, corrupt_reason)
         pending[index] = (path, probe)
@@ -628,7 +631,10 @@ def load_store(
             in (and reused from) a binary columnar cache keyed by the
             file's content hash — see :mod:`repro.data.daycache`.  Hits
             are served in this process; only misses and corrupt entries
-            become pool tasks.
+            become pool tasks.  Every day whose columns are a cache
+            entry (a hit, or a miss written back) carries its digest as
+            ``cache_tag``, and the store carries ``cache_dir``, so the
+            sweep can keep its address ids beside the day entries.
         errors: ``"strict"`` (default) raises on the first malformed
             line or unreadable file; ``"quarantine"`` diverts faults
             into ``report`` — malformed lines are dropped, unreadable
@@ -659,9 +665,10 @@ def load_store(
     )
     outcomes.update(zip(pending, pooled))
     store = ObservationStore()
+    store.cache_dir = cache_dir
     next_day = 0
     for index, path in enumerate(path_list):
-        payload, delta = outcomes.pop(index)
+        payload, delta, cached_as = outcomes.pop(index)
         if quarantine and delta is not None:
             assert report is not None
             report.merge(delta)
@@ -675,9 +682,10 @@ def load_store(
             report.info(
                 path, "duplicate-day", f"day {day} already loaded; replacing"
             )
-        store.add_observations(
-            DailyObservations.from_halves(day, hi, lo, hits, merged=True)
-        )
+        observations = DailyObservations.from_halves(day, hi, lo, hits, merged=True)
+        if cached_as is not None:
+            observations.cache_tag = (cached_as, 128)
+        store.add_observations(observations)
         next_day = day + 1
     if quarantine:
         assert report is not None and policy is not None

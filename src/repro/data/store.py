@@ -211,7 +211,15 @@ class DailyObservations:
 
     Addresses are stored sorted and deduplicated; hit counts, when given,
     are summed per unique address and kept in a parallel array.
+
+    ``cache_tag`` is ``(digest, prefix_len)`` when the addresses are the
+    day-cache entry of that content digest cut to ``prefix_len`` bits
+    (set by :func:`repro.data.logfile.load_store`), else None.  The
+    sweep keys its persisted address ids by it; a day built any other
+    way is untagged, so replacing a store's day drops its tag.
     """
+
+    cache_tag: Optional[Tuple[str, int]] = None
 
     def __init__(
         self,
@@ -283,9 +291,13 @@ class DailyObservations:
         O(n): the day's addresses are canonical by construction, so no
         sort is needed (see :func:`_truncate_canonical`).
         """
-        return DailyObservations.from_array(
+        derived = DailyObservations.from_array(
             self.day, _truncate_canonical(self.addresses, prefix_len)
         )
+        if self.cache_tag is not None:
+            digest, bits = self.cache_tag
+            derived.cache_tag = (digest, min(bits, prefix_len))
+        return derived
 
 
 class ObservationStore:
@@ -293,10 +305,14 @@ class ObservationStore:
 
     The unit the temporal classifier consumes.  Also supports deriving a
     prefix-level store (e.g. /64s) and unions over day ranges.
+    ``cache_dir`` is the day-cache directory the store was loaded
+    through, if any; the sweep keeps its address ids there for days
+    that carry a ``cache_tag``.
     """
 
     def __init__(self) -> None:
         self._days: Dict[int, DailyObservations] = {}
+        self.cache_dir: Optional[str] = None
 
     def add_day(
         self,
@@ -341,6 +357,7 @@ class ObservationStore:
     def truncated(self, prefix_len: int) -> "ObservationStore":
         """Derive a store whose members are /prefix_len networks."""
         derived = ObservationStore()
+        derived.cache_dir = self.cache_dir
         for day, observations in self._days.items():
             derived.add_observations(observations.truncated(prefix_len))
         return derived

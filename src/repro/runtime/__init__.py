@@ -10,7 +10,9 @@ or hanging:
   timeouts, retry/backoff, crash detection, and serial fallback;
 * :mod:`repro.runtime.checkpoint` — atomic, hash-validated sweep
   checkpoints enabling kill-and-resume with bit-identical output;
-* :mod:`repro.runtime.exitcodes` — the classified CLI exit-code map.
+* :mod:`repro.runtime.exitcodes` — the classified CLI exit-code map;
+* :mod:`repro.runtime.atomicio` — the atomic file replacement every
+  on-disk cache writes through.
 
 The deterministic fault-injection harness that exercises all of the
 above lives in :mod:`repro.sim.faults` (it reuses the simulator's

@@ -40,10 +40,11 @@ import io
 import json
 import os
 import signal
-import tempfile
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.runtime.atomicio import atomic_write_bytes
 
 #: Bump when the on-disk layout changes; mismatched entries are ignored.
 CHECKPOINT_VERSION = 1
@@ -51,21 +52,6 @@ CHECKPOINT_VERSION = 1
 #: Environment variable: SIGKILL the process after this many checkpoint
 #: writes (deterministic fault injection; see repro.sim.faults).
 KILL_AFTER_CHECKPOINTS_ENV = "REPRO_FAULT_KILL_AFTER_CHECKPOINTS"
-
-
-def _atomic_write_bytes(path: str, payload: bytes) -> None:
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 def sweep_signature(
@@ -139,7 +125,7 @@ class SweepCheckpoint:
         }
         np.savez(buffer, **arrays)
         payload = buffer.getvalue()
-        _atomic_write_bytes(npz_path, payload)
+        atomic_write_bytes(npz_path, payload)
         meta = {
             "version": CHECKPOINT_VERSION,
             "signature": self.signature,
@@ -148,7 +134,7 @@ class SweepCheckpoint:
             "chunk_index": int(chunk_index),
             "days": [int(day) for day, _gaps in pairs],
         }
-        _atomic_write_bytes(
+        atomic_write_bytes(
             meta_path, json.dumps(meta, sort_keys=True).encode("utf-8")
         )
         self._writes += 1

@@ -263,3 +263,32 @@ class TestPrune:
         for log in logs:
             day, hi, _lo, _hits = daycache.load_day(log, cache)
             assert hi.shape == (5,)
+
+    def test_prune_drops_ids_entries_of_dropped_days(self, tmp_path):
+        from repro.core.sweep import sweep_days
+
+        cache = str(tmp_path / "cache")
+        logs = []
+        for n in range(4):
+            log = str(tmp_path / f"log{n}.txt")
+            _write_log(log, n, [(0x20010DB8 << 96 | n * 100 + k, 1) for k in range(5)])
+            logs.append(log)
+        # chunk_days=1 and a 0/+1 window: chunk d's window is days d, d+1.
+        sweep_days(
+            logfile.load_store(logs, cache_dir=cache),
+            window_before=0, window_after=1, chunk_days=1,
+        )
+
+        def ids_entries():
+            return sorted(n for n in os.listdir(cache) if n.startswith("ids-"))
+
+        assert len(ids_entries()) == 8  # four windows, .npy + .meta.json each
+        keep = {daycache.content_hash(log) for log in logs[:3]}
+        # Windows {0, 1} and {1, 2} survive; {2, 3} and {3} go, with day 3.
+        assert daycache.prune(cache, keep) == 2 + 4
+        assert len(ids_entries()) == 4
+        # An ids payload whose meta is gone is unreachable: pruned too.
+        meta = [n for n in ids_entries() if n.endswith(".meta.json")][0]
+        os.unlink(os.path.join(cache, meta))
+        assert daycache.prune(cache, keep) == 1
+        assert len(ids_entries()) == 2
