@@ -178,20 +178,19 @@ def store_day(
     return npy_path
 
 
-def lookup(
-    path: str, cache_dir: str
-) -> Tuple[str, Optional[DayColumns], Optional[str]]:
-    """Probe the cache for one day log: ``(digest, payload, corrupt_reason)``.
+def lookup(path: str, cache_dir: str) -> Tuple[str, Optional[DayColumns]]:
+    """Probe the cache for one day log: ``(digest, payload)``.
 
-    Hashes the file once and verifies its entry (see :func:`_try_load`
-    for what ``payload`` and ``corrupt_reason`` mean).  A hit's columns
-    are views of the memory-mapped entry.  Raises :class:`OSError` when
-    the source file cannot be read.
+    Hashes the file and verifies its entry; ``payload`` is None on a
+    miss or a stale/corrupt entry (:func:`_try_load`), which the loader
+    then meets again, reports and rebuilds.  A hit's columns are views
+    of the memory-mapped entry.  Raises :class:`OSError` when the
+    source file cannot be read.
     """
     digest = content_hash(path)
     npy_path, meta_path = cache_paths(cache_dir, digest)
-    payload, corrupt_reason = _try_load(npy_path, meta_path, digest)
-    return digest, payload, corrupt_reason
+    payload, _corrupt_reason = _try_load(npy_path, meta_path, digest)
+    return digest, payload
 
 
 def load_day(
@@ -215,53 +214,48 @@ def load_day(
     cache, so a later strict load of the same file can never be served
     silently-cleaned columns from a cache hit.
     """
-    check_errors_mode(errors)
-    digest, cached, corrupt_reason = lookup(path, cache_dir)
-    if cached is not None:
-        return cached
-    columns, _written = _parse_on_miss(
-        path, cache_dir, digest, corrupt_reason, errors, report
-    )
+    columns, _digest = _read_through(path, cache_dir, errors, report)
     return columns
 
 
-def _parse_on_miss(
-    path: str,
-    cache_dir: str,
-    digest: str,
-    corrupt_reason: Optional[str],
-    errors: str,
-    report: Optional[QuarantineReport],
-) -> Tuple[DayColumns, bool]:
-    """The miss half of :func:`load_day`: parse ``path``, write it back.
+def _read_through(
+    path: str, cache_dir: str, errors: str, report: Optional[QuarantineReport]
+) -> Tuple[DayColumns, Optional[str]]:
+    """:func:`load_day`, plus the digest the columns are cached under.
 
-    ``digest`` and ``corrupt_reason`` come from a prior :func:`lookup`
-    of the same file, so a caller that probed already does not hash the
-    file twice.  Returns the columns and whether they were written back
-    (a quarantined parse is not), i.e. whether they are now the cache
-    entry of ``digest``.
+    The file is read once: its digest is taken over the very bytes a
+    miss parses, so a file rewritten while it loads is cached under the
+    content parsed, never under another read's digest.  The digest is
+    None when a quarantined parse was not written back.  Raises
+    :class:`OSError` when the file cannot be read.
     """
     quarantine = check_errors_mode(errors) == ERRORS_QUARANTINE
+    with open(path, "rb") as handle:
+        data = handle.read()
+    digest = hashlib.sha256(data).hexdigest()
+    npy_path, meta_path = cache_paths(cache_dir, digest)
+    cached, corrupt_reason = _try_load(npy_path, meta_path, digest)
+    if cached is not None:
+        return cached, digest
     if quarantine and report is None:
         report = QuarantineReport()
     if quarantine and corrupt_reason is not None:
         assert report is not None
-        npy_path, _meta_path = cache_paths(cache_dir, digest)
         report.info(npy_path, "cache-rebuilt", corrupt_reason)
     faults_before = (
         report.line_faults.get(path, 0) if quarantine and report is not None else 0
     )
     day, hi, lo, hits = logfile.read_daily_log_arrays(
-        path, errors=errors, report=report
+        path, errors=errors, report=report, data=data
     )
-    dirty = (
+    if (
         quarantine
         and report is not None
         and report.line_faults.get(path, 0) > faults_before
-    )
-    if not dirty:
-        store_day(cache_dir, digest, path, day, hi, lo, hits)
-    return (day, hi, lo, hits), not dirty
+    ):
+        return (day, hi, lo, hits), None
+    store_day(cache_dir, digest, path, day, hi, lo, hits)
+    return (day, hi, lo, hits), digest
 
 
 def ids_key(prefix_len: int, day_digests: Sequence[Tuple[int, str]]) -> str:

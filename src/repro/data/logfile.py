@@ -484,6 +484,7 @@ def read_daily_log_arrays(
     path: str,
     errors: str = ERRORS_STRICT,
     report: Optional[QuarantineReport] = None,
+    data: Optional[bytes] = None,
 ) -> _Columns:
     """Columnar fast path: read a day log straight into uint64 arrays.
 
@@ -492,29 +493,23 @@ def read_daily_log_arrays(
     :class:`repro.data.store.DailyObservations` holds, so no per-element
     Python work happens anywhere on this path.  ``errors="quarantine"``
     diverts malformed lines into ``report`` instead of raising.
+    ``data`` is the file's content when the caller has read it already
+    (the day cache parses the bytes it hashed); ``path`` then only
+    names the file in errors and reports.
     """
     check_errors_mode(errors)
-    with open(path, "rb") as handle:
-        data = handle.read()
+    if data is None:
+        with open(path, "rb") as handle:
+            data = handle.read()
     return _parse_log_bytes(data, path, errors=errors, report=report)
 
-
-#: A day still to load: (path, probe).  ``probe`` is the parent's
-#: ``(digest, corrupt_reason)`` for a day-cache miss, or None when the
-#: parent did not probe (no cache, or the probe failed).
-_DayTask = Tuple[str, Optional[Tuple[str, Optional[str]]]]
 
 #: A loaded day: (payload or None for a lost day, delta report, and the
 #: day-cache digest when the payload is that cache entry).
 _DayResult = Tuple[Optional[_Columns], Optional[QuarantineReport], Optional[str]]
 
 
-def _load_day(
-    path: str,
-    probe: Optional[Tuple[str, Optional[str]]],
-    cache_dir: Optional[str],
-    errors: str,
-) -> _DayResult:
+def _load_day(path: str, cache_dir: Optional[str], errors: str) -> _DayResult:
     """Load one day as arrays, through the binary cache when enabled.
 
     Runs in a (possibly forked) pool worker; in quarantine mode every
@@ -523,7 +518,10 @@ def _load_day(
     payload so the day becomes an explicit gap rather than an abort.
     Threshold enforcement is deliberately left to the parent: a
     threshold breach must abort the *run*, not look like a worker fault
-    the supervisor would pointlessly retry.
+    the supervisor would pointlessly retry.  Through the cache, the
+    digest comes from the bytes this worker parses, not from the
+    parent's probe, so a file rewritten in between is keyed by what
+    was parsed.
     """
     quarantine = errors == ERRORS_QUARANTINE
     delta = QuarantineReport() if quarantine else None
@@ -534,16 +532,9 @@ def _load_day(
         else:
             from repro.data import daycache
 
-            if probe is None:
-                payload = daycache.load_day(
-                    path, cache_dir, errors=errors, report=delta
-                )
-            else:
-                digest, corrupt_reason = probe
-                payload, written = daycache._parse_on_miss(
-                    path, cache_dir, digest, corrupt_reason, errors, delta
-                )
-                cached_as = digest if written else None
+            payload, cached_as = daycache._read_through(
+                path, cache_dir, errors, delta
+            )
     except OSError as exc:
         if not quarantine:
             raise
@@ -555,27 +546,24 @@ def _load_day(
 
 def _probe_cache(
     paths: Sequence[str], cache_dir: Optional[str]
-) -> Tuple[Dict[int, _DayResult], Dict[int, _DayTask]]:
-    """Serve day-cache hits in the parent; plan pool tasks for the rest.
+) -> Tuple[Dict[int, _DayResult], Dict[int, str]]:
+    """Serve day-cache hits in the parent; list the days left to load.
 
     Returns ``(served, pending)``, both keyed by path index: the results
-    of the hits, and the tasks that load every other day.  A hit's
-    columns are copied out of the memory-mapped entry here, so no cache
-    mapping is alive when the pool forks.  A miss or corrupt entry
-    carries its digest to the worker, which then need not hash the file
-    again; a probe that raises :class:`OSError` sends the day to the
-    pool unprobed, where the worker meets the same error and handles it
-    as it always has.
+    of the hits, and the paths of every other day (misses, corrupt
+    entries, and days whose probe raised :class:`OSError`, which the
+    worker meets again and handles as it always has).  A hit's columns
+    are copied out of the memory-mapped entry here, so no cache mapping
+    is alive when the pool forks.
     """
     from repro.data import daycache
 
     served: Dict[int, _DayResult] = {}
-    pending: Dict[int, _DayTask] = {}
+    pending: Dict[int, str] = {}
     for index, path in enumerate(paths):
-        probe: Optional[Tuple[str, Optional[str]]] = None
         if cache_dir is not None:
             try:
-                digest, cached, corrupt_reason = daycache.lookup(path, cache_dir)
+                digest, cached = daycache.lookup(path, cache_dir)
             except OSError:
                 pass  # the worker meets the same error and handles it
             else:
@@ -584,8 +572,7 @@ def _probe_cache(
                     columns = (day, np.array(hi), np.array(lo), np.array(hits))
                     served[index] = (columns, None, digest)
                     continue
-                probe = (digest, corrupt_reason)
-        pending[index] = (path, probe)
+        pending[index] = path
     return served, pending
 
 
@@ -657,7 +644,7 @@ def load_store(
     path_list = [os.fspath(p) for p in paths]
     outcomes, pending = _probe_cache(path_list, cache_dir)
     pooled = supervised_map(
-        lambda task: _load_day(*task, cache_dir, errors),
+        lambda path: _load_day(path, cache_dir, errors),
         list(pending.values()),
         jobs=jobs,
         config=PoolConfig(label="load-store"),

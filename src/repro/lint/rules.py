@@ -602,8 +602,8 @@ workers corrupt each other's positions.
 Historical bug: fan-outs once passed worker inputs through module-global
 stores set just before the fork, so that nothing else — handles, locks,
 executors — was alive across it.  Every fan-out now maps a closure
-through supervised_map, which forks one child per task attempt; the
-closure reaches the child through the forked address space, so it must
+through supervised_map, which forks one worker per job slot; the
+closure reaches the workers through the forked address space, so it must
 capture data, never live handles.  load_store copies day-cache hits out
 of their memory map before the miss pool forks, and misses load inside
 the mapped closure, for the same reason.  supervised_map and

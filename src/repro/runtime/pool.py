@@ -7,12 +7,18 @@ whole map, a wedged worker stalls it forever, and a transient fault
 (NFS hiccup, cache race) aborts instead of retrying.  ``run_supervised``
 replaces them with one supervisor that provides:
 
-* **per-task isolation** — every task attempt runs in its own forked
-  child, so killing a misbehaving attempt cannot disturb its siblings;
+* **one worker per job slot** — each call forks at most ``jobs``
+  workers, and each runs task after task, so a map of hundreds of
+  tasks pays for a few forks, not hundreds;
+* **per-worker isolation** — every worker is its own forked child, so
+  killing a misbehaving one cannot disturb its siblings, and a worker
+  that raised exits after reporting, so every retry starts in a fresh
+  child;
 * **crashed-worker detection** — a child that dies without reporting
-  (nonzero exit, lost pipe) is detected and the task retried;
-* **per-task timeouts** — a child exceeding ``timeout`` seconds is
-  killed and the task retried;
+  (nonzero exit, lost pipe) is detected, the task retried and the
+  worker replaced while work remains;
+* **per-task timeouts** — a child exceeding ``timeout`` seconds on one
+  task is killed and the task retried;
 * **bounded retry with exponential backoff + jitter** — deterministic
   jitter derived from :mod:`repro.sim.rng` substreams, so two
   supervisors retrying the same task never thunder in lockstep and a
@@ -24,13 +30,18 @@ replaces them with one supervisor that provides:
   timeout, crash, and fallback, so "it worked" and "it worked after
   recovering from three dead workers" are distinguishable.
 
-Each child is started by the ``fork`` context with ``func`` and its
-task as ``Process`` arguments, so both reach the child through the
-forked address space (copy-on-write) and are never pickled: ``func``
-may be a closure over the caller's stores and parameters.  Only
-results (and error tracebacks) are pickled, back through each child's
-pipe.  Where fork is unavailable the supervisor degrades to serial
-in-process execution — slower, never wrong.
+Each worker is started by the ``fork`` context with ``func`` and the
+whole task list as ``Process`` arguments, so both reach the child
+through the forked address space (copy-on-write) and are never
+pickled: ``func`` may be a closure over the caller's stores and
+parameters.  The supervisor talks to each worker over one duplex pipe:
+it sends ``(index, attempt)`` and receives the pickled result (or error
+traceback).  Tasks run by one worker share its memory, so ``func`` must
+not depend on state an earlier task left behind.  A worker closes
+every parent-side pipe end it inherited, its own included, so a parent
+that dies leaves it reading EOF, not blocked.  Where fork is
+unavailable the supervisor degrades to serial in-process execution —
+slower, never wrong.
 
 Results are returned in task order regardless of completion order; the
 optional ``on_result`` callback fires in *completion* order and is the
@@ -178,48 +189,59 @@ def backoff_delay(config: PoolConfig, index: int, attempt: int) -> float:
     return delay * jitter
 
 
-def _child_main(
+def _worker_main(
     func: Callable[[Any], Any],
-    task: Any,
-    index: int,
-    attempt: int,
+    tasks: Sequence[Any],
     label: str,
     conn: Any,
+    inherited: Sequence[Any],
 ) -> None:
-    """Forked child body: run one task attempt, report through the pipe.
+    """Forked worker body: run ``(index, attempt)`` requests until EOF.
 
-    Exits via ``os._exit`` so the parent's inherited atexit handlers and
-    buffered streams are never run twice.  Fault-injection hooks (see
-    :mod:`repro.sim.faults`) are applied first, so a deterministic
-    "kill this worker" plan lands before any real work.
+    ``inherited`` holds the parent-side pipe ends this child received
+    through fork, its own included.  They are closed first: the
+    parent's death then closes every copy, so ``recv`` sees EOF and the
+    worker exits instead of blocking forever.  Each request applies the
+    fault-injection hooks (see :mod:`repro.sim.faults`), so a
+    deterministic "kill this worker" plan lands before any real work,
+    then sends ``func(tasks[index])`` back.  A raised error is reported
+    with its traceback and ends the worker, so every retry starts in a
+    fresh child.  Exits via ``os._exit`` so the parent's inherited
+    atexit handlers and buffered streams are never run twice.
     """
-    code = 0
+    code = 1
     try:
-        if os.environ.get("REPRO_FAULTS"):
-            from repro.sim.faults import apply_worker_faults
+        for end in inherited:
+            end.close()
+        while True:
+            try:
+                index, attempt = conn.recv()
+            except EOFError:
+                code = 0  # the supervisor is done with this worker
+                break
+            try:
+                if os.environ.get("REPRO_FAULTS"):
+                    from repro.sim.faults import apply_worker_faults
 
-            apply_worker_faults(label, index, attempt)
-        result = func(task)
-        conn.send((OUTCOME_OK, result))
-    except BaseException:  # noqa: BLE001 - the pipe is the error channel
-        code = 1
-        try:
-            conn.send((OUTCOME_ERROR, traceback.format_exc()))
-        except (OSError, ValueError):
-            code = 2
-    try:
-        conn.close()
+                    apply_worker_faults(label, index, attempt)
+                conn.send((OUTCOME_OK, func(tasks[index])))
+            except BaseException:  # noqa: BLE001 - the pipe is the error channel
+                conn.send((OUTCOME_ERROR, traceback.format_exc()))
+                break
     finally:
         os._exit(code)
 
 
 @dataclass
-class _Running:
+class _Worker:
+    """One forked worker and the attempt it runs (``index`` -1: idle)."""
+
     process: Any
-    index: int
-    attempt: int
-    deadline: Optional[float]
-    started: float
+    conn: Any
+    index: int = -1
+    attempt: int = 0
+    deadline: Optional[float] = None
+    started: float = 0.0
 
 
 def run_supervised(
@@ -265,7 +287,8 @@ def run_supervised(
     )
     #: (ready_time, index, attempt) — tasks sleeping out a backoff.
     waiting: List[Tuple[float, int, int]] = []
-    running: Dict[Any, _Running] = {}
+    #: Live workers by their parent-side pipe end.
+    workers: Dict[Any, _Worker] = {}
     done = 0
 
     def finish(index: int, value: Any) -> None:
@@ -275,12 +298,29 @@ def run_supervised(
         if on_result is not None:
             on_result(index, value)
 
-    def kill(process: Any) -> None:
-        try:
-            process.kill()
-        except (OSError, ValueError):
-            pass
-        process.join()
+    def spawn() -> _Worker:
+        parent_end, child_end = context.Pipe()
+        process = context.Process(
+            target=_worker_main,
+            args=(func, task_list, config.label, child_end, [*workers, parent_end]),
+            daemon=True,
+        )
+        process.start()
+        child_end.close()
+        worker = _Worker(process, parent_end)
+        workers[parent_end] = worker
+        return worker
+
+    def retire(worker: _Worker, kill: bool = False) -> None:
+        """Stop ``worker``: an idle one exits on EOF, a busy one is killed."""
+        del workers[worker.conn]
+        if kill:
+            try:
+                worker.process.kill()
+            except (OSError, ValueError):
+                pass
+        worker.conn.close()
+        worker.process.join()
 
     def handle_failure(index: int, attempt: int, detail: str) -> None:
         """Schedule a retry, fall back to serial, or raise."""
@@ -326,22 +366,22 @@ def run_supervised(
                     else:
                         still.append((ready, index, attempt))
                 waiting[:] = still
-            while pending and len(running) < config.jobs:
-                index, attempt = pending.popleft()
-                receiver, sender = context.Pipe(duplex=False)
-                process = context.Process(
-                    target=_child_main,
-                    args=(func, task_list[index], index, attempt, config.label, sender),
-                    daemon=True,
+            idle = [worker for worker in workers.values() if worker.index < 0]
+            while pending and (idle or len(workers) < config.jobs):
+                worker = idle.pop() if idle else spawn()
+                worker.index, worker.attempt = pending.popleft()
+                worker.started = time.monotonic()
+                worker.deadline = (
+                    None
+                    if config.timeout is None
+                    else worker.started + config.timeout
                 )
-                process.start()
-                sender.close()
-                started = time.monotonic()
-                deadline = (
-                    None if config.timeout is None else started + config.timeout
-                )
-                running[receiver] = _Running(process, index, attempt, deadline, started)
-            if not running:
+                try:
+                    worker.conn.send((worker.index, worker.attempt))
+                except OSError:
+                    pass  # died while idle: its EOF is read below as a crash
+            busy = [worker for worker in workers.values() if worker.index >= 0]
+            if not busy:
                 if waiting:
                     time.sleep(max(0.0, min(r for r, _i, _a in waiting) - now))
                     continue
@@ -349,80 +389,67 @@ def run_supervised(
 
             poll: Optional[float] = None
             bounds = [
-                entry.deadline for entry in running.values() if entry.deadline
+                worker.deadline for worker in busy if worker.deadline
             ] + [ready for ready, _i, _a in waiting]
             if bounds:
                 poll = max(0.01, min(bounds) - time.monotonic())
-            ready_connections = connection_wait(list(running), timeout=poll)
+            ready_connections = connection_wait(
+                [worker.conn for worker in busy], timeout=poll
+            )
 
             for connection in ready_connections:
-                entry = running.pop(connection)
+                worker = workers[connection]
+                index, attempt = worker.index, worker.attempt
                 try:
                     kind, payload = connection.recv()
                 except (EOFError, OSError):
                     kind, payload = OUTCOME_CRASH, ""
-                connection.close()
-                entry.process.join()
-                elapsed = time.monotonic() - entry.started
+                elapsed = time.monotonic() - worker.started
                 if kind == OUTCOME_OK:
+                    worker.index = -1
                     report.attempts.append(
-                        TaskAttempt(entry.index, entry.attempt, OUTCOME_OK, elapsed=elapsed)
+                        TaskAttempt(index, attempt, OUTCOME_OK, elapsed=elapsed)
                     )
-                    finish(entry.index, payload)
-                elif kind == OUTCOME_CRASH:
+                    finish(index, payload)
+                    continue
+                retire(worker)
+                if kind == OUTCOME_CRASH:
                     detail = (
-                        f"worker pid {entry.process.pid} died "
-                        f"(exitcode {entry.process.exitcode})"
+                        f"worker pid {worker.process.pid} died "
+                        f"(exitcode {worker.process.exitcode})"
                     )
-                    report.attempts.append(
-                        TaskAttempt(
-                            entry.index,
-                            entry.attempt,
-                            OUTCOME_CRASH,
-                            detail=detail,
-                            elapsed=elapsed,
-                        )
-                    )
-                    handle_failure(entry.index, entry.attempt, detail)
                 else:
-                    report.attempts.append(
-                        TaskAttempt(
-                            entry.index,
-                            entry.attempt,
-                            OUTCOME_ERROR,
-                            detail=str(payload),
-                            elapsed=elapsed,
-                        )
-                    )
-                    handle_failure(entry.index, entry.attempt, str(payload))
+                    detail = str(payload)
+                report.attempts.append(
+                    TaskAttempt(index, attempt, kind, detail=detail, elapsed=elapsed)
+                )
+                handle_failure(index, attempt, detail)
 
             now = time.monotonic()
-            for connection, entry in list(running.items()):
-                if entry.deadline is not None and now > entry.deadline:
-                    running.pop(connection)
-                    kill(entry.process)
-                    connection.close()
+            for worker in list(workers.values()):
+                if (
+                    worker.index >= 0
+                    and worker.deadline is not None
+                    and now > worker.deadline
+                ):
+                    retire(worker, kill=True)
                     detail = (
-                        f"worker pid {entry.process.pid} exceeded "
+                        f"worker pid {worker.process.pid} exceeded "
                         f"{config.timeout}s timeout"
                     )
                     report.attempts.append(
                         TaskAttempt(
-                            entry.index,
-                            entry.attempt,
+                            worker.index,
+                            worker.attempt,
                             OUTCOME_TIMEOUT,
                             detail=detail,
-                            elapsed=now - entry.started,
+                            elapsed=now - worker.started,
                         )
                     )
-                    handle_failure(entry.index, entry.attempt, detail)
+                    handle_failure(worker.index, worker.attempt, detail)
     finally:
-        for connection, entry in running.items():
-            kill(entry.process)
-            try:
-                connection.close()
-            except (OSError, ValueError):
-                pass
+        for worker in list(workers.values()):
+            retire(worker, kill=worker.index >= 0)
     return results, report
 
 

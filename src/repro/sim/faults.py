@@ -21,7 +21,8 @@ faults in every run and on every machine:
   serial fallback.  Worker faults cross the fork boundary through the
   ``REPRO_FAULTS`` environment variable (children are separate
   processes; the environment is the only channel that needs no
-  plumbing), applied by :func:`apply_worker_faults` at child startup.
+  plumbing), applied by :func:`apply_worker_faults` before each task
+  attempt a worker runs.
 
 The ``repro-faultcheck`` CLI (:func:`repro.cli.main_faultcheck`) drives
 a full gauntlet of these faults against a synthetic store and verifies
@@ -234,10 +235,10 @@ def parse_fault_env(text: str) -> Dict[str, object]:
 def apply_worker_faults(
     label: str, index: int, attempt: int, env: Optional[str] = None
 ) -> None:
-    """Apply the environment's worker-fault plan inside a forked child.
+    """Apply the environment's worker-fault plan inside a forked worker.
 
-    Called by the supervised pool's child bootstrap before the real
-    task runs.  Kill and delay faults fire only on a task's *first*
+    Called by a supervised pool worker before it runs each task
+    attempt.  Kill and delay faults fire only on a task's *first*
     attempt (so retry recovers), drawn deterministically from the task
     identity; poison tasks die on *every* worker attempt, forcing the
     supervisor's serial fallback.  The parent process never applies

@@ -6,7 +6,9 @@ keying means a stale entry can never be served); corrupt or truncated
 entries fall back to parsing instead of failing or lying.
 """
 
+import hashlib
 import json
+import multiprocessing
 import os
 
 import numpy as np
@@ -116,6 +118,77 @@ class TestInvalidation:
         # load_day still works by reparsing + rewriting.
         day, hi, _lo, _hits = daycache.load_day(log, cache)
         assert day == 7 and hi.shape == (100,)
+
+
+class TestRewriteDuringLoad:
+    """A log rewritten while it loads is cached under the bytes parsed.
+
+    Each case rewrites the file between the cache probe and the parse;
+    the entry written must be keyed by the digest of the content the
+    loader parsed, never by another read's digest.
+    """
+
+    OLD = [(0x20010DB8 << 96 | n, n + 1) for n in range(100)]
+    NEW = [(0x20010DB9 << 96 | n, 2) for n in range(40)]
+
+    @staticmethod
+    def _digest(path):
+        with open(path, "rb") as handle:
+            return hashlib.sha256(handle.read()).hexdigest()
+
+    def test_load_day_parses_the_bytes_it_hashed(self, log_and_cache, monkeypatch):
+        log, cache = log_and_cache
+        old_digest = self._digest(log)
+        expected = logfile.read_daily_log_arrays(log)
+        probe = daycache._try_load
+
+        def probe_then_rewrite(npy_path, meta_path, digest):
+            _write_log(log, 8, self.NEW)
+            return probe(npy_path, meta_path, digest)
+
+        monkeypatch.setattr(daycache, "_try_load", probe_then_rewrite)
+        day, hi, lo, hits = daycache.load_day(log, cache)
+        monkeypatch.undo()
+        assert day == 7 and np.array_equal(hi, expected[1])
+        cached, _reason = daycache._try_load(
+            *daycache.cache_paths(cache, old_digest), old_digest
+        )
+        assert cached is not None and cached[0] == 7
+        assert np.array_equal(np.asarray(cached[2]), expected[2])
+        new_digest = self._digest(log)
+        assert not os.path.exists(daycache.cache_paths(cache, new_digest)[0])
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_load_store_keys_entry_by_parsed_bytes(self, tmp_path, monkeypatch, jobs):
+        if jobs > 1 and "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("needs fork start method")
+        cache = str(tmp_path / "cache")
+        first, second = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
+        _write_log(first, 7, self.OLD)
+        _write_log(second, 9, self.OLD[:10])
+        old_digest = self._digest(first)
+        probe = daycache.lookup
+
+        def probe_then_rewrite(path, cache_dir):
+            found = probe(path, cache_dir)
+            if path == first:
+                _write_log(first, 8, self.NEW)
+            return found
+
+        monkeypatch.setattr(daycache, "lookup", probe_then_rewrite)
+        store = logfile.load_store([first, second], jobs=jobs, cache_dir=cache)
+        monkeypatch.undo()
+        new_digest = self._digest(first)
+        assert store.days() == [8, 9]
+        expected = logfile.read_daily_log_arrays(first)
+        assert np.array_equal(store.get(8).addresses["lo"], expected[2])
+        assert store.get(8).cache_tag == (new_digest, 128)
+        assert not os.path.exists(daycache.cache_paths(cache, old_digest)[0])
+        cached, _reason = daycache._try_load(
+            *daycache.cache_paths(cache, new_digest), new_digest
+        )
+        assert cached is not None and cached[0] == 8
+        assert np.array_equal(np.asarray(cached[2]), expected[2])
 
 
 class TestCorruption:

@@ -10,6 +10,9 @@ armed through marker files on disk so the retry genuinely succeeds.
 import multiprocessing
 import os
 import pickle
+import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -97,6 +100,67 @@ class _ChildPoison:
 
 def _always_raises(value):
     raise ValueError(f"poison task {value}")
+
+
+def _square_and_pid(value):
+    return value * value, os.getpid()
+
+
+class _RaiseOnceRecordingPid:
+    """Task ``target`` raises on its first attempt, recording the pid."""
+
+    def __init__(self, marker, target):
+        self.marker = str(marker)
+        self.target = target
+
+    def __call__(self, value):
+        if value == self.target and not os.path.exists(self.marker):
+            with open(self.marker, "w") as handle:
+                handle.write(str(os.getpid()))
+            raise RuntimeError("transient fault")
+        return value * value, os.getpid()
+
+
+class _CrashOnce:
+    """Task ``target`` dies with ``os._exit`` on its first attempt."""
+
+    def __init__(self, marker, target):
+        self.marker = str(marker)
+        self.target = target
+
+    def __call__(self, value):
+        if value == self.target and not os.path.exists(self.marker):
+            with open(self.marker, "w") as handle:
+                handle.write("armed")
+            os._exit(1)
+        return value * value
+
+
+def _gone(pid):
+    """True when ``pid`` no longer runs (exited, or a zombie left unreaped)."""
+    try:
+        with open(f"/proc/{pid}/stat", "r", encoding="ascii") as handle:
+            return handle.read().rpartition(")")[2].split()[0] in ("Z", "X")
+    except FileNotFoundError:
+        return True
+
+
+#: Maps two tasks on two workers, prints the worker pids, then SIGKILLs
+#: itself from ``on_result`` while both workers wait for their next task.
+_ORPHAN_SCRIPT = """
+import os, signal
+from repro.runtime.pool import PoolConfig, run_supervised
+
+pids = set()
+
+def record(index, value):
+    pids.add(value)
+    if len(pids) == 2:
+        print(" ".join(str(pid) for pid in sorted(pids)), flush=True)
+        os.kill(os.getpid(), signal.SIGKILL)
+
+run_supervised(lambda value: os.getpid(), [0, 1], PoolConfig(jobs=2), on_result=record)
+"""
 
 
 class TestResolveJobs:
@@ -233,6 +297,76 @@ class TestParallelPath:
             run_supervised(
                 _always_raises, [3, 4], PoolConfig(jobs=2, **FAST)
             )
+
+
+@needs_fork
+class TestWorkerReuse:
+    """One forked worker per job slot, reused across the tasks of a map."""
+
+    def test_clean_map_forks_at_most_jobs_workers(self):
+        results, report = run_supervised(
+            _square_and_pid, list(range(8)), PoolConfig(jobs=2)
+        )
+        assert [value for value, _pid in results] == [t * t for t in range(8)]
+        pids = {pid for _value, pid in results}
+        assert len(pids) <= 2 and os.getpid() not in pids
+        assert report.clean and len(report.attempts) == 8
+
+    def test_retry_of_raising_task_runs_in_new_pid(self, tmp_path):
+        marker = tmp_path / "armed"
+        func = _RaiseOnceRecordingPid(marker, target=3)
+        results, report = run_supervised(
+            func, list(range(6)), PoolConfig(jobs=2, **FAST)
+        )
+        assert [value for value, _pid in results] == [t * t for t in range(6)]
+        assert report.errors == 1 and report.retries == 1
+        assert results[3][1] != int(marker.read_text())
+
+    def test_other_tasks_complete_after_mid_map_crash(self, tmp_path):
+        func = _CrashOnce(tmp_path / "armed", target=3)
+        seen = []
+        results, report = run_supervised(
+            func,
+            list(range(8)),
+            PoolConfig(jobs=2, **FAST),
+            on_result=lambda i, v: seen.append(i),
+        )
+        assert results == [t * t for t in range(8)]
+        assert sorted(seen) == list(range(8))
+        assert report.crashes == 1 and report.retries == 1
+        assert report.fallbacks == 0
+        firsts = [a for a in report.attempts if a.index != 3]
+        assert all(a.outcome == OUTCOME_OK and a.attempt == 0 for a in firsts)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+    def test_killed_parent_leaves_no_idle_worker(self):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.abspath(src), env.get("PYTHONPATH")])
+        )
+        # Read one line and wait for the exit: a leaked worker would hold
+        # the stdout pipe open, so reading to EOF would hang.
+        parent = subprocess.Popen(
+            [sys.executable, "-c", _ORPHAN_SCRIPT],
+            env=env,
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            pids = [int(pid) for pid in parent.stdout.readline().split()]
+            assert parent.wait(timeout=60) == -signal.SIGKILL
+        finally:
+            parent.kill()
+            parent.stdout.close()
+        assert len(pids) == 2
+        deadline = time.monotonic() + 5.0
+        while not all(_gone(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        leaked = [pid for pid in pids if not _gone(pid)]
+        for pid in leaked:
+            os.kill(pid, signal.SIGKILL)
+        assert not leaked
 
 
 class _Local:
