@@ -200,8 +200,9 @@ def _reference_store(
 def _stage_split(paths: List[str]) -> Dict[str, float]:
     """Serial parse seconds per reader stage, summed over ``paths``.
 
-    Runs the stages of ``logfile._parse_log_bytes`` one by one and
-    checks that together they give the reader's result.
+    Runs the stages of ``logfile.read_daily_log_arrays`` (the three of
+    its row stage, then the merge) one by one and checks that together
+    they give the reader's result.
     """
     seconds = {"tokenize": 0.0, "addresses": 0.0, "hits": 0.0, "merge": 0.0}
     for path in paths:

@@ -51,21 +51,76 @@ from repro.data.store import ObservationStore
 from repro.net import addr
 from repro.net.prefix import check_length
 from repro.runtime.pool import PoolConfig, RunReport, resolve_jobs, supervised_map
-from repro.trie.aguri import density_threshold, widen_dense_prefixes
 
 #: Counts are array sizes, far below 2**62; thresholds above this cap can
 #: never be met, so the table stays within int64.
 _THRESHOLD_CAP = 1 << 62
 
 
+def density_threshold(n: int, p: int, length: int) -> int:
+    """Minimum count for a length-``length`` prefix to meet n@/p density.
+
+    The desired minimum density is ``n / 2**(128 - p)``.  A length-``q``
+    prefix spans ``2**(128 - q)`` addresses, so it meets the density when
+    its count is at least ``n * 2**(p - q)`` — which for ``q > p`` is a
+    fraction, i.e. any single observation suffices.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1: {n}")
+    check_length(p)
+    check_length(length)
+    if length >= p:
+        shift = length - p
+        # ceil(n / 2**shift), never below 1.
+        return max(1, (n + (1 << shift) - 1) >> shift)
+    return n << (p - length)
+
+
+def widen_dense_prefixes(
+    found: Iterable[Tuple[int, int, int]], p: int
+) -> List[Tuple[int, int, int]]:
+    """Widen reported prefixes longer than ``p`` to exactly /p and merge.
+
+    Prefixes longer than ``p`` are truncated to /p, and clusters landing
+    on the same /p have their counts summed.  Prefixes already shorter
+    than (or equal to) ``p`` are kept as-is — and because widening only
+    *shortens* lengths down to ``p``, a widened /p can come to sit inside
+    a kept shorter prefix when the input list contains nested prefixes
+    (e.g. tree reports built with
+    :meth:`repro.trie.radix.RadixTree.add_prefix`, or dense
+    lists merged across days).  Such nested entries are dropped after
+    widening: a containing prefix's count already includes the addresses
+    of everything below it, so keeping both would double-count.  The
+    result is guaranteed non-overlapping whenever containing prefixes
+    carry subtree-total counts (as all densify reports do).
+    """
+    check_length(p)
+    merged: Dict[Tuple[int, int], int] = {}
+    for network, length, count in found:
+        if length > p:
+            network, length = addr.truncate(network, p), p
+        key = (network, length)
+        merged[key] = merged.get(key, 0) + count
+    result: List[Tuple[int, int, int]] = []
+    # Sorted by (network, length), a nested prefix immediately follows a
+    # prefix that contains it or is disjoint from every kept one, so a
+    # single look-back at the last kept entry suffices.
+    for (network, length), count in sorted(merged.items()):
+        if result:
+            kept_network, kept_length, _kept_count = result[-1]
+            if kept_length <= length and addr.truncate(network, kept_length) == kept_network:
+                continue
+        result.append((network, length, count))
+    return result
+
+
 def threshold_table(n: int, p: int) -> np.ndarray:
     """Density thresholds for every node length, as an int64 lookup table.
 
     ``table[length]`` is the minimum subtree count for a length-``length``
-    node to meet the ``n@/p`` density, per
-    :func:`repro.trie.aguri.density_threshold`; astronomically large
-    thresholds (short lengths far above ``p``) are clipped to an
-    unreachable cap so the table fits int64.
+    node to meet the ``n@/p`` density, per :func:`density_threshold`;
+    astronomically large thresholds (short lengths far above ``p``) are
+    clipped to an unreachable cap so the table fits int64.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1: {n}")

@@ -17,25 +17,30 @@ Semantics:
   address mean the aggregator flushed twice; a reader must never count
   the address twice.  :func:`read_daily_log` keeps first-seen order for
   merged entries; :func:`read_daily_log_arrays` returns them sorted.
-* **Hit counts are ASCII digits only** (``0-9``).  Unicode digits such
-  as ``"٣"`` satisfy ``str.isdigit()`` and convert via ``int()``, but
-  are not valid log syntax and raise :class:`LogFormatError`.
+* **Hit counts are ASCII digits only** (``0-9``) and fit in 64 bits.
+  Unicode digits such as ``"٣"`` satisfy ``str.isdigit()`` and convert
+  via ``int()``, but are not valid log syntax and raise
+  :class:`LogFormatError`.
+* **Tokens are separated by space, tab, CR or LF**; lines end at LF.
 
-Ingestion is columnar, in four vectorized stages over the raw bytes:
-tokenize (token and newline positions, found once per file), addresses
-(parsed in place by the span kernel
-:func:`repro.net.batchparse.parse_spans`), hit counts (a handful of
-digit passes), and the merge (:func:`repro.data.store.merge_halves`,
-skipped for canonical logs).  Only exotic rows (embedded IPv4,
->19-digit counts, …) fall back to scalar code.  :func:`load_store` can
+There is one parser.  Its row stage (:func:`_parse_rows`) is columnar,
+in three vectorized stages over the raw bytes: tokenize (token and
+newline positions, found once per file), addresses (parsed in place by
+the span kernel :func:`repro.net.batchparse.parse_spans`) and hit
+counts (a handful of digit passes).  :func:`read_daily_log_arrays`
+then merges the rows (:func:`repro.data.store.merge_halves`, skipped
+for canonical logs); :func:`read_daily_log` merges them in first-seen
+order over Python ints.  Only exotic rows (embedded IPv4, counts of
+20 or more digits, …) fall back to scalar code.  :func:`load_store` can
 additionally reuse the binary columnar cache in
 :mod:`repro.data.daycache`, serving hits in the calling process, and
 fan the days that still need parsing out across worker processes (days
 are independent).
 
 Error handling is two-mode.  ``errors="strict"`` (the default) raises
-:class:`LogFormatError` on the first malformed line — bit-for-bit the
-historical behavior.  ``errors="quarantine"`` diverts each malformed
+:class:`LogFormatError` naming a malformed line: the first bad line
+shape, else the first bad address, else a bad hit count.
+``errors="quarantine"`` diverts each malformed
 line (and, in :func:`load_store`, each unreadable day file) into a
 structured :class:`repro.runtime.quarantine.QuarantineReport` and keeps
 going, with :class:`repro.runtime.quarantine.QuarantinePolicy`
@@ -86,6 +91,16 @@ _MAX_FAST_HIT_DIGITS = 19
 _UINT64_MAX = (1 << 64) - 1
 
 
+def _write_lines(
+    path: str, day: int, hi: np.ndarray, lo: np.ndarray, hits: Iterable[int]
+) -> None:
+    """Write the day header and one ``address hits`` line per row."""
+    texts = batchparse.format_batch(hi, lo)
+    with open(path, "w", encoding="ascii") as handle:
+        handle.write(f"# repro aggregated log day={day}\n")
+        handle.writelines(f"{text} {int(h)}\n" for text, h in zip(texts, hits))
+
+
 def write_daily_log(
     path: str,
     day: int,
@@ -94,13 +109,7 @@ def write_daily_log(
     """Write one day's aggregated log: (address, hits) pairs."""
     pairs = list(entries)
     hi, lo = batchparse.ints_to_halves([address for address, _hits in pairs])
-    texts = batchparse.format_batch(hi, lo)
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write(f"# repro aggregated log day={day}\n")
-        handle.writelines(
-            f"{text} {int(hits)}\n"
-            for text, (_address, hits) in zip(texts, pairs)
-        )
+    _write_lines(path, day, hi, lo, [hits for _address, hits in pairs])
 
 
 def write_daily_log_arrays(
@@ -121,11 +130,7 @@ def write_daily_log_arrays(
     counts = np.ones(hi.shape[0], dtype=np.uint64) if hits is None else hits
     hi, lo, merged_hits = merge_halves(hi, lo, counts)
     assert merged_hits is not None
-    texts = batchparse.format_batch(hi, lo)
-    lines = [f"{text} {int(h)}\n" for text, h in zip(texts, merged_hits)]
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write(f"# repro aggregated log day={day}\n")
-        handle.writelines(lines)
+    _write_lines(path, day, hi, lo, merged_hits.tolist())
 
 
 def _day_from_comment(line: str) -> Optional[int]:
@@ -150,80 +155,25 @@ def read_daily_log(
 
     The day comes from the header comment when present, else None.
     Duplicate addresses are merged by summing hit counts (first-seen
-    order is kept).  With ``errors="strict"`` malformed lines raise
+    order is kept, and sums are Python ints, so they do not wrap at
+    2**64).  With ``errors="strict"`` malformed lines raise
     :class:`LogFormatError` with the line number; with
     ``errors="quarantine"`` they are diverted into ``report`` and
     skipped.
+
+    The rows come from the same parser as :func:`read_daily_log_arrays`
+    and :func:`load_store`, so the three accept exactly the same lines:
+    counts of 2**64 and above are malformed, only space, tab, CR and LF
+    separate tokens (a vertical tab or U+00A0 is part of a token), and
+    only LF ends a line (a bare CR does not).
     """
-    quarantine = check_errors_mode(errors) == ERRORS_QUARANTINE
-    if quarantine and report is None:
-        report = QuarantineReport()
-    day: Optional[int] = None
-    address_texts: List[str] = []
-    hit_values: List[int] = []
-    line_numbers: List[int] = []
-    entry_line_count = 0
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if day is None:
-                    day = _day_from_comment(line)
-                continue
-            entry_line_count += 1
-            parts = line.split()
-            if len(parts) != 2:
-                if not quarantine:
-                    raise _error(
-                        path, line_number, f"expected 'address hits', got {line!r}"
-                    )
-                assert report is not None
-                report.line_fault(path, line_number, "bad-line-shape", line)
-                continue
-            hits_text = parts[1]
-            if not hits_text or any(
-                not ("0" <= ch <= "9") for ch in hits_text
-            ):
-                if not quarantine:
-                    raise _error(path, line_number, f"bad hit count {hits_text!r}")
-                assert report is not None
-                report.line_fault(path, line_number, "bad-hit-count", line)
-                continue
-            address_texts.append(parts[0])
-            hit_values.append(int(hits_text))
-            line_numbers.append(line_number)
-    if quarantine:
-        assert report is not None
-        report.note_lines(path, entry_line_count)
-    try:
-        values = batchparse.parse_batch_ints(address_texts)
-    except addr.AddressError:
-        if quarantine:
-            assert report is not None
-            values = []
-            kept_hits: List[int] = []
-            for text, hits, line_number in zip(
-                address_texts, hit_values, line_numbers
-            ):
-                try:
-                    values.append(addr.parse(text))
-                    kept_hits.append(hits)
-                except addr.AddressError:
-                    report.line_fault(path, line_number, "bad-address", text)
-            hit_values = kept_hits
-        else:
-            # Re-scan scalar to report the first offending line precisely.
-            for text, line_number in zip(address_texts, line_numbers):
-                try:
-                    addr.parse(text)
-                except addr.AddressError as exc:
-                    raise _error(path, line_number, str(exc)) from exc
-            raise  # pragma: no cover - batch/scalar disagreement
+    check_errors_mode(errors)
+    with open(path, "rb") as handle:
+        data = handle.read()
+    day, hi, lo, hits = _parse_rows(data, path, errors, report)
     merged: Dict[int, int] = {}
-    for value, hits in zip(values, hit_values):
-        merged[value] = merged.get(value, 0) + hits
+    for value, count in zip(batchparse.halves_to_ints(hi, lo), hits.tolist()):
+        merged[value] = merged.get(value, 0) + count
     return day, list(merged.items())
 
 
@@ -231,7 +181,8 @@ def read_daily_log(
 #: (space, tab, CR and LF), 1 for every other byte.
 _WORD_TABLE = bytes(0 if byte in b" \t\r\n" else 1 for byte in range(256))
 
-#: A parsed day: ``(day, hi, lo, hits)``, sorted and duplicate-free.
+#: A parsed day: ``(day, hi, lo, hits)``, sorted and duplicate-free once
+#: merged.
 _Columns = Tuple[Optional[int], np.ndarray, np.ndarray, np.ndarray]
 
 #: The entry lines of a day log, as the tokenize stage returns them:
@@ -382,74 +333,57 @@ def _hit_column(
     """
     lengths = ends - starts
     slow_hits = lengths > _MAX_FAST_HIT_DIGITS
+    # Slow rows gather nothing: the scalar path below checks them.
+    lengths = np.where(slow_hits, 0, lengths)
     hit_matrix = _gather_matrix(
-        raw,
-        starts,
-        np.where(slow_hits, 0, lengths),
-        min(int(lengths.max()), _MAX_FAST_HIT_DIGITS),
+        raw, starts, lengths, min(int(lengths.max()), _MAX_FAST_HIT_DIGITS)
     )
     in_token = np.arange(hit_matrix.shape[1]) < lengths[:, None]
     digit_ok = (hit_matrix >= _ZERO) & (hit_matrix <= _NINE)
-    bad_digit = (in_token & ~digit_ok).any(axis=1)
-    if bad_digit.any():
-        if not quarantine:
-            i = int(np.flatnonzero(bad_digit)[0])
-            token = bytes(raw[starts[i] : ends[i]])
-            raise _error(
-                path,
-                int(entry_lines[i]),
-                f"bad hit count {token.decode('utf-8', errors='replace')!r}",
-            )
-        assert report is not None
-        for i in np.flatnonzero(bad_digit & ~bad_rows):
-            token = bytes(raw[starts[i] : ends[i]])
-            report.line_fault(
-                path,
-                int(entry_lines[i]),
-                "bad-hit-count",
-                token.decode("utf-8", errors="replace"),
-            )
-        bad_rows |= bad_digit
+    faults = dict.fromkeys(
+        np.flatnonzero((in_token & ~digit_ok).any(axis=1)).tolist(), "bad hit count"
+    )
     digits = (hit_matrix - _ZERO).astype(np.uint64)
     hits = np.zeros(lengths.shape[0], dtype=np.uint64)
     for column in range(hit_matrix.shape[1]):
         active = column < lengths
         hits = np.where(active, hits * np.uint64(10) + digits[:, column], hits)
-    for i in np.flatnonzero(slow_hits):
+    for i in np.flatnonzero(slow_hits).tolist():
+        token = bytes(raw[starts[i] : ends[i]])
+        # Leading zeros stripped, a uint64 has at most 20 digits; the
+        # length check also keeps int() under its digit limit.
+        value = token.lstrip(b"0")
+        if not token.isdigit():
+            faults[i] = "bad hit count"
+        elif len(value) > 20 or int(value or 0) > _UINT64_MAX:
+            faults[i] = "hit count exceeds 64 bits:"
+        else:
+            hits[i] = int(value or 0)
+    for i in sorted(faults):
         if bad_rows[i]:
             continue
-        token = bytes(raw[starts[i] : ends[i]]).decode("utf-8", errors="replace")
-        fault: Optional[str] = None
-        if any(not ("0" <= ch <= "9") for ch in token):
-            fault = f"bad hit count {token!r}"
-        elif int(token) > _UINT64_MAX:
-            fault = f"hit count exceeds 64 bits: {token!r}"
-        if fault is not None:
-            if not quarantine:
-                raise _error(path, int(entry_lines[i]), fault)
-            assert report is not None
-            report.line_fault(path, int(entry_lines[i]), "bad-hit-count", token)
-            bad_rows[i] = True
-            continue
-        hits[i] = int(token)
+        token_text = bytes(raw[starts[i] : ends[i]]).decode("utf-8", errors="replace")
+        if not quarantine:
+            raise _error(path, int(entry_lines[i]), f"{faults[i]} {token_text!r}")
+        assert report is not None
+        report.line_fault(path, int(entry_lines[i]), "bad-hit-count", token_text)
+        bad_rows[i] = True
     return hits
 
 
-def _parse_log_bytes(
+def _parse_rows(
     data: bytes,
     path: str,
-    errors: str = ERRORS_STRICT,
-    report: Optional[QuarantineReport] = None,
+    errors: str,
+    report: Optional[QuarantineReport],
 ) -> _Columns:
-    """Columnar day-log parse: returns (day, hi, lo, hits) merged+sorted.
+    """Row stage of a day-log parse: ``(day, hi, lo, hits)`` per entry line.
 
-    Four stages: tokenize (:func:`_entry_spans`), addresses
-    (:func:`_address_column`), hit counts (:func:`_hit_column`) and the
-    merge (:func:`repro.data.store.merge_halves`), skipped when the
-    log is already canonical.  With ``errors="quarantine"``, malformed
-    entry lines are recorded in ``report`` and dropped instead of
-    raising; the surviving rows merge and sort exactly as in strict
-    mode.
+    Three stages: tokenize (:func:`_entry_spans`), addresses
+    (:func:`_address_column`) and hit counts (:func:`_hit_column`).
+    With ``errors="quarantine"``, malformed entry lines are recorded in
+    ``report`` and dropped instead of raising.  The surviving rows stay
+    in file order, duplicates unmerged.
     """
     quarantine = errors == ERRORS_QUARANTINE
     if quarantine and report is None:
@@ -470,14 +404,7 @@ def _parse_log_bytes(
     if bad_rows.any():
         good = ~bad_rows
         hi, lo, hits = hi[good], lo[good], hits[good]
-
-    # Logs written by save_store are already sorted and unique; detect
-    # that with one vectorized pass and skip the O(n log n) merge.
-    if strictly_increasing(hi, lo):
-        return day, hi, lo, hits
-    hi, lo, merged_hits = merge_halves(hi, lo, hits)
-    assert merged_hits is not None
-    return day, hi, lo, merged_hits
+    return day, hi, lo, hits
 
 
 def read_daily_log_arrays(
@@ -501,7 +428,14 @@ def read_daily_log_arrays(
     if data is None:
         with open(path, "rb") as handle:
             data = handle.read()
-    return _parse_log_bytes(data, path, errors=errors, report=report)
+    day, hi, lo, hits = _parse_rows(data, path, errors, report)
+    # Logs written by save_store are already sorted and unique; detect
+    # that with one vectorized pass and skip the O(n log n) merge.
+    if strictly_increasing(hi, lo):
+        return day, hi, lo, hits
+    hi, lo, merged_hits = merge_halves(hi, lo, hits)
+    assert merged_hits is not None
+    return day, hi, lo, merged_hits
 
 
 #: A loaded day: (payload or None for a lost day, delta report, and the

@@ -156,7 +156,7 @@ reads the fraction as the decimal it was written as and compares
 Fix: restate the comparison over integers — e.g. for ``count <
 fraction * total`` with ``fraction = a/b``, compare ``count * b < a *
 total``; for density thresholds use ceiling-integer shift arithmetic as
-in repro.trie.aguri.density_threshold.
+in repro.core.spatial.density_threshold.
 
 Suppress with ``# repro-lint: ignore[R001]`` when both sides are
 genuinely real-valued (no integer count involved).

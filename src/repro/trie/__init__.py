@@ -1,5 +1,6 @@
 """Patricia/radix tree substrate and aguri-style aggregation operations."""
 
+from repro.core.spatial import density_threshold, widen_dense_prefixes
 from repro.trie.aguri import (
     aguri_aggregate,
     addresses_in_dense_prefixes,
@@ -9,9 +10,7 @@ from repro.trie.aguri import (
     dense_prefixes,
     dense_prefixes_fixed,
     densify,
-    density_threshold,
     profile,
-    widen_dense_prefixes,
 )
 from repro.trie.radix import RadixNode, RadixTree
 from repro.trie.render import render_dense, render_tree

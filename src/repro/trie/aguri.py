@@ -25,6 +25,11 @@ from collections import Counter
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.core.spatial import (
+    density_threshold,
+    general_dense_prefixes,
+    widen_dense_prefixes,
+)
 from repro.net import addr
 from repro.net.addr import ADDRESS_BITS
 from repro.net.prefix import Prefix, check_length
@@ -41,25 +46,6 @@ def build_tree(addresses: Iterable[int]) -> RadixTree:
     for value in addresses:
         tree.add_address(value)
     return tree
-
-
-def density_threshold(n: int, p: int, length: int) -> int:
-    """Minimum count for a length-``length`` prefix to meet n@/p density.
-
-    The desired minimum density is ``n / 2**(128 - p)``.  A length-``q``
-    prefix spans ``2**(128 - q)`` addresses, so it meets the density when
-    its count is at least ``n * 2**(p - q)`` — which for ``q > p`` is a
-    fraction, i.e. any single observation suffices.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1: {n}")
-    check_length(p)
-    check_length(length)
-    if length >= p:
-        shift = length - p
-        # ceil(n / 2**shift), never below 1.
-        return max(1, (n + (1 << shift) - 1) >> shift)
-    return n << (p - length)
 
 
 def densify(tree: RadixTree, n: int, p: int, max_length: int = 127) -> None:
@@ -103,43 +89,6 @@ def dense_prefixes(
     return results
 
 
-def widen_dense_prefixes(
-    found: Iterable[Tuple[int, int, int]], p: int
-) -> List[Tuple[int, int, int]]:
-    """Widen reported prefixes longer than ``p`` to exactly /p and merge.
-
-    Prefixes longer than ``p`` are truncated to /p, and clusters landing
-    on the same /p have their counts summed.  Prefixes already shorter
-    than (or equal to) ``p`` are kept as-is — and because widening only
-    *shortens* lengths down to ``p``, a widened /p can come to sit inside
-    a kept shorter prefix when the input list contains nested prefixes
-    (e.g. tree reports built with :meth:`RadixTree.add_prefix`, or dense
-    lists merged across days).  Such nested entries are dropped after
-    widening: a containing prefix's count already includes the addresses
-    of everything below it, so keeping both would double-count.  The
-    result is guaranteed non-overlapping whenever containing prefixes
-    carry subtree-total counts (as all densify reports do).
-    """
-    check_length(p)
-    merged: Dict[Tuple[int, int], int] = {}
-    for network, length, count in found:
-        if length > p:
-            network, length = addr.truncate(network, p), p
-        key = (network, length)
-        merged[key] = merged.get(key, 0) + count
-    result: List[Tuple[int, int, int]] = []
-    # Sorted by (network, length), a nested prefix immediately follows a
-    # prefix that contains it or is disjoint from every kept one, so a
-    # single look-back at the last kept entry suffices.
-    for (network, length), count in sorted(merged.items()):
-        if result:
-            kept_network, kept_length, _kept_count = result[-1]
-            if kept_length <= length and addr.truncate(network, kept_length) == kept_network:
-                continue
-        result.append((network, length, count))
-    return result
-
-
 def compute_dense_prefixes_tree(
     addresses: Iterable[int], n: int, p: int, widen: bool = False
 ) -> List[Tuple[int, int, int]]:
@@ -181,8 +130,6 @@ def compute_dense_prefixes(
     the identical report from the sorted address columns;
     :func:`compute_dense_prefixes_tree` remains as the reference.
     """
-    from repro.core.spatial import general_dense_prefixes
-
     return general_dense_prefixes(addresses, n, p, widen=widen)
 
 

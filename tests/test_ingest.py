@@ -13,6 +13,7 @@ from repro import cli
 from repro.data import logfile
 from repro.data.store import DailyObservations, ObservationStore
 from repro.net import addr
+from repro.runtime.quarantine import QuarantineReport
 
 
 def _write(path, text):
@@ -67,6 +68,57 @@ class TestHitCountValidation:
         path = _write(tmp_path / "big.txt", f"::1 {10**18}\n")
         _day, entries = logfile.read_daily_log(path)
         assert entries[0][1] == 10**18
+
+
+def _hits_by_loader(loader, path, errors, report):
+    """The hit column of a one-day log, read as an array or as a store."""
+    if loader == "arrays":
+        return logfile.read_daily_log_arrays(path, errors=errors, report=report)[3]
+    store = logfile.load_store([path], errors=errors, report=report)
+    return store.get(store.days()[0]).hits
+
+
+@pytest.mark.parametrize("loader", ["arrays", "store"])
+@pytest.mark.parametrize("errors", ["strict", "quarantine"])
+class TestLongHitCounts:
+    """Counts of 20 or more digits take the scalar path and fit in uint64."""
+
+    @pytest.mark.parametrize(
+        "token, value",
+        [("00000000000000000001", 1), ("18446744073709551615", 2**64 - 1)],
+    )
+    def test_long_count_parses(self, tmp_path, loader, errors, token, value):
+        path = _write(tmp_path / "long.txt", f"# day=1\n::1 {token}\n::2 3\n")
+        report = QuarantineReport()
+        hits = _hits_by_loader(loader, path, errors, report)
+        assert hits.tolist() == [value, 3]
+        assert report.is_empty()
+
+    def test_thousands_of_digits(self, tmp_path, loader, errors):
+        # Past int()'s default digit limit: still a LogFormatError.
+        path = _write(tmp_path / "long.txt", f"# day=1\n::1 {'0' * 5000}7\n")
+        assert _hits_by_loader(loader, path, errors, QuarantineReport()).tolist() == [7]
+        path = _write(tmp_path / "long.txt", f"# day=1\n::1 {'1' * 5000}\n::2 3\n")
+        report = QuarantineReport()
+        if errors == "strict":
+            with pytest.raises(logfile.LogFormatError, match="exceeds 64 bits"):
+                _hits_by_loader(loader, path, errors, report)
+        else:
+            assert _hits_by_loader(loader, path, errors, report).tolist() == [3]
+            assert report.by_rule() == {"bad-hit-count": 1}
+
+    def test_count_of_2_to_64_rejected(self, tmp_path, loader, errors):
+        path = _write(tmp_path / "long.txt", f"# day=1\n::1 {2**64}\n::2 3\n")
+        report = QuarantineReport()
+        if errors == "strict":
+            with pytest.raises(
+                logfile.LogFormatError, match="long.txt:2: hit count exceeds 64 bits"
+            ):
+                _hits_by_loader(loader, path, errors, report)
+            return
+        assert _hits_by_loader(loader, path, errors, report).tolist() == [3]
+        assert report.by_rule() == {"bad-hit-count": 1}
+        assert [(r.line, r.excerpt) for r in report.records] == [(2, str(2**64))]
 
 
 class TestParallelLoading:

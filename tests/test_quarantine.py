@@ -18,6 +18,7 @@ from repro.data.logfile import (
     read_daily_log,
     read_daily_log_arrays,
 )
+from repro.net import addr
 from repro.runtime.quarantine import (
     ERRORS_QUARANTINE,
     ERRORS_STRICT,
@@ -142,6 +143,14 @@ class TestThresholds:
         report.enforce_run(QuarantinePolicy(), total_days=2)  # no raise
 
 
+def _day_and_hits(reader, path, report):
+    """``(day, hits)`` of a day log in quarantine mode, for either reader."""
+    result = reader(path, errors=ERRORS_QUARANTINE, report=report)
+    if reader is read_daily_log:
+        return result[0], [hits for _address, hits in result[1]]
+    return result[0], result[3].tolist()
+
+
 class TestReaderQuarantine:
     def test_scalar_reader_diverts_bad_lines(self, tmp_path):
         path = _write(
@@ -186,7 +195,9 @@ class TestReaderQuarantine:
         )
         assert day == 1
         assert hi.shape[0] == len(entries) == 2
-        assert scalar_report.by_rule() == columnar_report.by_rule()
+        # Both readers run one row stage, so compare each with the truth.
+        expected = {"bad-address": 1, "bad-line-shape": 1, "bad-hit-count": 1}
+        assert scalar_report.by_rule() == columnar_report.by_rule() == expected
         assert (
             scalar_report.line_totals[path] == columnar_report.line_totals[path] == 5
         )
@@ -208,7 +219,8 @@ class TestReaderQuarantine:
             assert [(r.line, r.excerpt) for r in report.records] == [(3, address)]
             assert result[0] == 1
 
-    def test_dirty_day_report_is_exact(self, tmp_path):
+    @pytest.mark.parametrize("reader", [read_daily_log, read_daily_log_arrays])
+    def test_dirty_day_report_is_exact(self, tmp_path, reader):
         # Faulted lines of every rule (fewer than MAX_RECORDS_PER_RULE
         # each, so every one is recorded), CRLF endings, a comment line
         # mid-file and a last line with no newline: each record keeps its
@@ -239,15 +251,62 @@ class TestReaderQuarantine:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("\n".join(lines))
         report = QuarantineReport()
-        day, hi, _lo, hits = read_daily_log_arrays(
-            path, errors=ERRORS_QUARANTINE, report=report
-        )
+        day, hits = _day_and_hits(reader, path, report)
         assert day == 7
-        assert hi.shape[0] == 60 and int(hits.sum()) == sum(range(1, 61))
+        assert len(hits) == 60 and sum(hits) == sum(range(1, 61))
         got = sorted((r.rule, r.line, r.excerpt) for r in report.records)
         assert got == sorted(expected)
         assert sum(report.by_rule().values()) == len(expected)
         assert report.line_totals[path] == len(lines) - 2
+
+    def test_scalar_reader_keeps_first_seen_order(self, tmp_path):
+        path = _write(
+            tmp_path / "day.txt",
+            [
+                "# repro aggregated log day=2",
+                "2001:db8::9 1",
+                "2001:db8::3 2",
+                "2001:db8::9 x",
+                "2001:db8::1 4",
+                "bad:::address 1",
+                "2001:db8::3 5",
+                "orphan",
+                "2001:db8::9 10",
+            ],
+        )
+        report = QuarantineReport()
+        day, entries = read_daily_log(path, errors=ERRORS_QUARANTINE, report=report)
+        assert day == 2
+        assert entries == [
+            (addr.parse("2001:db8::9"), 11),
+            (addr.parse("2001:db8::3"), 7),
+            (addr.parse("2001:db8::1"), 4),
+        ]
+        assert sorted((r.rule, r.line) for r in report.records) == [
+            ("bad-address", 6),
+            ("bad-hit-count", 4),
+            ("bad-line-shape", 8),
+        ]
+        assert report.line_totals[path] == 8
+
+    def test_scalar_reader_sums_past_64_bits(self, tmp_path):
+        top = 2**64 - 1
+        path = _write(tmp_path / "day.txt", [f"::1 {top}", "::2 1", f"::1 {top}"])
+        _day, entries = read_daily_log(path)
+        assert entries == [(1, 2**65 - 2), (2, 1)]
+
+    def test_invalid_utf8_address_is_quarantined(self, tmp_path):
+        path = tmp_path / "day.txt"
+        path.write_bytes(b"# day=4\n2001:db8::1 3\n2001:db8::\xff 5\n::2 1\n")
+        with pytest.raises(LogFormatError, match=r"day\.txt:3: "):
+            read_daily_log(str(path))
+        report = QuarantineReport()
+        day, entries = read_daily_log(
+            str(path), errors=ERRORS_QUARANTINE, report=report
+        )
+        assert day == 4
+        assert entries == [(addr.parse("2001:db8::1"), 3), (2, 1)]
+        assert [(r.rule, r.line) for r in report.records] == [("bad-address", 3)]
 
     def test_strict_mode_is_bit_identical_on_clean_input(self, tmp_path):
         path = _good_day(tmp_path / "day.txt", 1, count=6)

@@ -197,6 +197,61 @@ class TestGeneralDensify:
         assert expected == [(p("2001:db8::"), 112, 2), (p("2a00::"), 112, 2)]
 
 
+ALL_ONES = (1 << 128) - 1
+
+#: Address sets at the ends of the address space, and a lone address.
+EDGE_SETS = {
+    "all-ones": [ALL_ONES],
+    "zero-and-all-ones": [0, ALL_ONES],
+    "top-pair": [ALL_ONES - 1, ALL_ONES],
+    "single": [p("2001:db8::1")],
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("prefix_len", [0, 127, 128])
+@pytest.mark.parametrize("name", sorted(EDGE_SETS))
+class TestSpatialEdges:
+    """Both engines agree with the references at the /0 and /128 limits."""
+
+    def test_general_densify_matches_tree(self, name, prefix_len, n):
+        values = EDGE_SETS[name]
+        for widen in (False, True):
+            expected = compute_dense_prefixes_tree(values, n, prefix_len, widen=widen)
+            got = general_dense_prefixes(
+                obstore.to_array(values), n, prefix_len, widen=widen
+            )
+            assert got == expected, widen
+
+    def test_dense_runs_match_fixed(self, name, prefix_len, n):
+        values = EDGE_SETS[name]
+        expected = dense_prefixes_fixed(values, n, prefix_len)
+        found, contained = dense_runs(obstore.to_array(values), n, prefix_len)
+        assert found == expected
+        assert contained == sum(count for _net, _len, count in expected)
+
+
+class TestSpatialEdgeValues:
+    def test_top_pair(self):
+        top = EDGE_SETS["top-pair"]
+        assert general_dense_prefixes(top, 2, 127) == [(ALL_ONES - 1, 127, 2)]
+        assert general_dense_prefixes(top, 2, 128) == []
+        assert general_dense_prefixes(top, 3, 0) == []
+        assert dense_runs(obstore.to_array(top), 1, 128) == (
+            [(ALL_ONES - 1, 128, 1), (ALL_ONES, 128, 1)],
+            2,
+        )
+
+    def test_ends_of_the_space_meet_only_at_the_root(self):
+        ends = EDGE_SETS["zero-and-all-ones"]
+        assert general_dense_prefixes(ends, 2, 0) == [(0, 0, 2)]
+        assert general_dense_prefixes(ends, 1, 127) == []
+        assert dense_runs(obstore.to_array(ends), 1, 127) == (
+            [(0, 127, 1), (ALL_ONES - 1, 127, 1)],
+            2,
+        )
+
+
 class TestGoldenTable3:
     """Table 3 on a seeded simulated store, pinned against golden values
     and cross-checked against the tree-based reference."""
