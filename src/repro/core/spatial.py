@@ -18,13 +18,17 @@ the canonical ``(hi, lo)`` columnar address arrays:
 * **Patricia branch points** are exactly the LCP entries: the branch
   node split at adjacent pair i has prefix length ``lcp[i]``, and its
   subtree spans the maximal run of pairs with LCP >= ``lcp[i]``.  The
-  nearest-smaller-value bounds of each entry (computed by vectorized
-  pointer doubling) therefore recover every node's (length, count), and
-  the paper's *general densify* reduces to an interval sweep: report the
-  dense nodes not covered by any dense ancestor interval
-  (:func:`general_dense_prefixes`) — bit-identical to building the
-  2M-node radix tree and folding it (tested and asserted in
-  ``benchmarks/bench_spatial.py``).
+  nearest-smaller-value bounds of an entry therefore recover its node's
+  (length, count), and the paper's *general densify* reduces to an
+  interval sweep: report the dense nodes not covered by any dense
+  ancestor interval (:func:`general_dense_prefixes`) — bit-identical to
+  building the 2M-node radix tree and folding it (tested and asserted
+  in ``benchmarks/bench_spatial.py``).  Bounds are computed only for
+  the branch nodes that can be dense: a count never exceeds the set's
+  size, so the threshold table cuts every pair shorter than the first
+  length whose threshold fits it, and the bounds of the rest come from
+  pointer doubling on a compressed array whose rounds shrink as indices
+  resolve.
 
 Per-day spatial profiles over a whole store run through
 :func:`sweep_spatial`, which mirrors :mod:`repro.core.sweep`'s
@@ -136,24 +140,39 @@ def _nearest_smaller_left(values: np.ndarray) -> np.ndarray:
 
     Vectorized pointer doubling: every unresolved index jumps to its
     candidate's candidate, so chains of equal-or-larger values collapse
-    geometrically — O(log n) passes of O(n) vector work, no Python loop
-    over elements.
+    geometrically.  Each round carries only the indices still open, so
+    the rounds shrink as the chains resolve; the jump is simultaneous
+    (every new pointer is read before any is written).
     """
     size = values.shape[0]
     out = np.arange(-1, size - 1, dtype=np.int64)
-    while True:
-        resolved_or_done = out < 0
-        candidate = np.where(resolved_or_done, 0, out)
-        need = ~resolved_or_done & (values[candidate] >= values)
-        if not need.any():
-            return out
-        out[need] = out[out[need]]
+    open_ = np.arange(1, size, dtype=np.int64)
+    target = values[1:]
+    while open_.shape[0]:
+        candidate = out[open_]
+        still = values[candidate] >= target
+        open_, candidate, target = open_[still], candidate[still], target[still]
+        jumped = out[candidate]
+        out[open_] = jumped
+        live = jumped >= 0
+        open_, target = open_[live], target[live]
+    return out
 
 
 def _nearest_smaller_right(values: np.ndarray) -> np.ndarray:
     """Index of the nearest strictly smaller value to the right (``size`` if none)."""
     size = values.shape[0]
     return (size - 1) - _nearest_smaller_left(values[::-1])[::-1]
+
+
+def _check_lengths(lengths: np.ndarray, size: int) -> None:
+    """Reject an adjacent-LCP array that cannot belong to ``size`` addresses."""
+    expected = (max(size - 1, 0),)
+    if lengths.shape != expected:
+        raise ValueError(
+            f"lengths must have shape (size - 1,) = {expected} for {size} "
+            f"addresses, got {lengths.shape}"
+        )
 
 
 def prefix_runs(
@@ -166,24 +185,35 @@ def prefix_runs(
     ascending network order.  Adjacent addresses share a /p exactly when
     their common prefix is at least p long, so group boundaries are the
     LCP entries below p — no per-length truncate/sort/unique pass.
+    ``lengths``, when given, must be the set's adjacent-LCP array (shape
+    ``(size - 1,)``).
     """
     check_length(p)
     size = int(array.shape[0])
+    if lengths is None:
+        lengths = adjacent_common_prefix_lengths(array)
+    else:
+        _check_lengths(lengths, size)
     if size == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty.copy()
-    if lengths is None:
-        lengths = adjacent_common_prefix_lengths(array)
     boundaries = np.nonzero(lengths < p)[0]
     starts = np.concatenate([[0], boundaries + 1])
     ends = np.concatenate([boundaries + 1, [size]])
     return starts, ends - starts
 
 
-def _network_int(array: np.ndarray, index: int, length: int) -> int:
-    """The /length network containing the address at ``index``, as an int."""
-    value = (int(array["hi"][index]) << 64) | int(array["lo"][index])
-    return addr.truncate(value, length)
+def _prefix_entries(
+    array: np.ndarray, starts: np.ndarray, lengths: List[int], counts: np.ndarray
+) -> List[Tuple[int, int, int]]:
+    """``(network, length, count)`` triples as Python ints, one per entry:
+    the /length network holding the address at each of ``starts``."""
+    tops = array["hi"][starts].tolist()
+    bottoms = array["lo"][starts].tolist()
+    return [
+        (addr.truncate((top << 64) | bottom, length), length, count)
+        for top, bottom, length, count in zip(tops, bottoms, lengths, counts.tolist())
+    ]
 
 
 def dense_runs(
@@ -202,13 +232,78 @@ def dense_runs(
         raise ValueError(f"n must be >= 1: {n}")
     starts, counts = prefix_runs(array, p, lengths)
     dense = counts >= n
-    dense_starts = starts[dense]
     dense_counts = counts[dense]
-    prefixes = [
-        (_network_int(array, int(start), p), p, int(count))
-        for start, count in zip(dense_starts, dense_counts)
-    ]
+    prefixes = _prefix_entries(
+        array, starts[dense], [p] * dense_counts.shape[0], dense_counts
+    )
     return prefixes, int(dense_counts.sum())
+
+
+def _candidate_bounds(
+    lengths: np.ndarray, table: np.ndarray, size: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Nearest-smaller bounds of the branch nodes that can be dense.
+
+    A node's count never exceeds ``size`` and ``table`` does not increase
+    with length, so the candidate pairs are exactly those with ``lengths``
+    at least the first length whose threshold is at most ``size``.  Every
+    other pair is smaller than every candidate, so the pair just before
+    or after a run of candidates is that run's exact barrier: the bounds
+    are computed on the candidates plus those neighbours only.
+
+    Returns ``(kept, pos, left, right)``: the kept pair indices, the
+    candidates' positions in ``kept``, and each candidate's bounds as
+    positions in ``kept`` (-1 and ``len(kept)`` when there is none).
+    """
+    qualifying = np.flatnonzero(table <= size)
+    if not qualifying.shape[0]:
+        # No length can be dense (np.argmax of this all-False mask would
+        # be 0 and keep every pair).
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty, empty
+    candidate = lengths >= qualifying[0]
+    keep = candidate.copy()
+    keep[1:] |= candidate[:-1]
+    keep[:-1] |= candidate[1:]
+    kept = np.flatnonzero(keep)
+    pos = np.flatnonzero(candidate[kept])
+    values = lengths[kept]
+    left = _nearest_smaller_left(values)[pos]
+    right = _nearest_smaller_right(values)[pos]
+    return kept, pos, left, right
+
+
+def _dense_report(
+    array: np.ndarray,
+    n: int,
+    lengths: np.ndarray,
+    table: np.ndarray,
+    bounds: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+) -> List[Tuple[int, int, int]]:
+    """The dense candidates covered by no dense ancestor, with >= n addresses.
+
+    ``bounds`` comes from :func:`_candidate_bounds`.  Coverage runs over
+    the kept positions, which hold every candidate, so each candidate
+    sees exactly the dense intervals that contain it.
+    """
+    kept, pos, left, right = bounds
+    width = kept.shape[0]
+    # Pair index of each kept position, with the -1 / num_pairs sentinels.
+    pairs = np.concatenate(([-1], kept, [lengths.shape[0]]))
+    before = pairs[left + 1]
+    counts = pairs[right + 1] - before  # addresses spanned by each node
+    node_lengths = lengths[kept[pos]]
+    dense = counts >= table[node_lengths]
+    coverage_delta = np.bincount(left[dense] + 1, minlength=width + 1) - np.bincount(
+        right[dense], minlength=width + 1
+    )
+    coverage = np.cumsum(coverage_delta[:width])[pos]
+    reported = dense & (coverage == 1) & (counts >= n)
+    found = _prefix_entries(
+        array, before[reported] + 1, node_lengths[reported].tolist(), counts[reported]
+    )
+    found.sort()
+    return found
 
 
 def general_dense_prefixes(
@@ -228,23 +323,35 @@ def general_dense_prefixes(
     tree:
 
     1. every Patricia branch node is an LCP entry; its subtree count is
-       the width of the maximal surrounding run of LCPs at least as long
-       (nearest-smaller bounds, by vectorized pointer doubling);
-    2. a node is *dense* when its count meets the density threshold for
-       its own length (the densify fold condition);
+       the width of the maximal surrounding run of LCPs at least as long.
+       A count never exceeds the set's size, so only the nodes whose
+       length has a threshold within it can be dense: the bounds are
+       computed for those candidates alone, on a compressed array of the
+       candidates and the barriers beside their runs
+       (:func:`_candidate_bounds`; pointer doubling whose rounds carry
+       only the unresolved indices);
+    2. a candidate is *dense* when its count meets the density threshold
+       for its own length (the densify fold condition);
     3. the reported nodes are the dense nodes whose pair-interval is
        covered by no other dense interval — absorbing folds every dense
        node into its shallowest dense ancestor, so exactly the
-       coverage-1 intervals survive (one difference-array cumsum).
+       coverage-1 intervals survive (one difference-array cumsum over
+       the compressed array).
 
-    The tree implementation remains as the reference; the equivalence is
-    asserted property-style in the tests and in ``bench_spatial.py``.
+    ``lengths``, when given, must be the set's adjacent-LCP array (shape
+    ``(size - 1,)``).  The tree implementation remains as the reference;
+    the equivalence is asserted property-style in the tests and in
+    ``bench_spatial.py``.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1: {n}")
     check_length(p)
     array = _as_address_array(addresses)
     size = int(array.shape[0])
+    if lengths is None:
+        lengths = adjacent_common_prefix_lengths(array)
+    else:
+        _check_lengths(lengths, size)
     if size == 0:
         return []
     table = threshold_table(n, p)
@@ -254,32 +361,13 @@ def general_dense_prefixes(
         if size >= root_threshold and size >= n:
             return [(0, 0, size)]
         return []
-    if lengths is None:
-        lengths = adjacent_common_prefix_lengths(array)
     if int(lengths.min()) > 0 and size >= root_threshold:
         # The root is not a branch point but meets the density: it
         # absorbs the entire tree, exactly as the post-order fold does.
         return [(0, 0, size)] if size >= n else []
-    left = _nearest_smaller_left(lengths)
-    right = _nearest_smaller_right(lengths)
-    counts = right - left  # addresses spanned by each branch node
-    dense = counts >= table[lengths]
-    num_pairs = size - 1
-    coverage_delta = np.zeros(num_pairs + 1, dtype=np.int64)
-    np.add.at(coverage_delta, left[dense] + 1, 1)
-    np.add.at(coverage_delta, right[dense], -1)
-    coverage = np.cumsum(coverage_delta[:num_pairs])
-    reported = dense & (coverage == 1) & (counts >= n)
-    indices = np.nonzero(reported)[0]
-    found = [
-        (
-            _network_int(array, int(left[i]) + 1, int(lengths[i])),
-            int(lengths[i]),
-            int(counts[i]),
-        )
-        for i in indices
-    ]
-    found.sort()
+    found = _dense_report(
+        array, n, lengths, table, _candidate_bounds(lengths, table, size)
+    )
     if widen:
         return widen_dense_prefixes(found, p)
     return found

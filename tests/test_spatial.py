@@ -10,10 +10,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.density import TABLE3_CLASSES, DensityClass, table3
+from repro.core.density import TABLE3_CLASSES, DensityClass, find_dense, table3
 from repro.core.mra import adjacent_common_prefix_lengths, aggregate_counts
 from repro.core.spatial import (
+    _candidate_bounds,
     _nearest_smaller_left,
     _nearest_smaller_right,
     day_spatial_summary,
@@ -99,6 +102,36 @@ class TestNearestSmaller:
         flat = np.full(6, 3, dtype=np.int64)
         assert _nearest_smaller_left(flat).tolist() == [-1] * 6
         assert _nearest_smaller_right(flat).tolist() == [6] * 6
+
+    def assert_naive(self, values):
+        values = np.asarray(values, dtype=np.int64)
+        assert _nearest_smaller_left(values).tolist() == self.naive_left(values)
+        assert _nearest_smaller_right(values).tolist() == self.naive_right(values)
+
+    def test_empty_and_short_arrays(self):
+        for values in ([], [0], [127], [0, 0], [5, 5], [0, 1], [1, 0]):
+            self.assert_naive(values)
+
+    def test_long_ties(self):
+        rng = random.Random(17)
+        self.assert_naive([64] * 700)
+        self.assert_naive([64] * 300 + [3] + [64] * 300)
+        self.assert_naive([3] * 300 + [64] + [3] * 300)
+        for _ in range(10):
+            steps = [rng.randint(0, 128) for _ in range(rng.randint(2, 8))]
+            widths = [rng.randint(1, 200) for _ in steps]
+            self.assert_naive(np.repeat(steps, widths))
+
+    def test_staircases(self):
+        up = list(range(129))
+        down = up[::-1]
+        self.assert_naive(up)
+        self.assert_naive(down)
+        self.assert_naive(up + down)
+        self.assert_naive(down + up)
+        self.assert_naive(up * 3)
+        self.assert_naive(np.repeat(up, 3))
+        self.assert_naive(np.repeat(down, 2).tolist() + up)
 
 
 class TestPrefixRuns:
@@ -250,6 +283,171 @@ class TestSpatialEdgeValues:
             [(0, 127, 1), (ALL_ONES - 1, 127, 1)],
             2,
         )
+
+
+def assert_densify_matches_tree(values, n, prefix_len):
+    array = obstore.to_array(values)
+    for widen in (False, True):
+        expected = compute_dense_prefixes_tree(values, n, prefix_len, widen=widen)
+        got = general_dense_prefixes(array, n, prefix_len, widen=widen)
+        assert got == expected, (n, prefix_len, widen)
+
+
+def candidate_pairs(values, n, prefix_len):
+    """The pair indices the threshold-table cut keeps, and the pair count."""
+    array = obstore.to_array(values)
+    lengths = adjacent_common_prefix_lengths(array)
+    table = threshold_table(n, prefix_len)
+    kept, pos, _left, _right = _candidate_bounds(lengths, table, array.shape[0])
+    return kept[pos].tolist(), lengths.shape[0]
+
+
+class TestCandidatePruning:
+    """The pruned bounds against the tree, on sets whose candidate pairs
+    (pairs whose length's threshold fits within the set) are pinned."""
+
+    def test_no_candidate_pair(self):
+        # n > size at /128: no node of any length can hold n addresses.
+        values = [p("2001:db8::1"), p("2001:db8::2"), p("2001:db8::3"), p("2600::1")]
+        for n in (5, 8, 64):
+            assert candidate_pairs(values, n, 128) == ([], 3)
+            assert_densify_matches_tree(values, n, 128)
+            assert general_dense_prefixes(values, n, 128) == []
+
+    def test_every_pair_a_candidate(self):
+        base = p("2001:db8::")
+        values = [base | i for i in range(1, 9)] + [base | 0x10000 | i for i in (1, 2, 7)]
+        assert candidate_pairs(values, 2, 112) == (list(range(10)), 10)
+        for n, prefix_len in [(2, 112), (2, 120), (3, 124), (4, 112), (8, 112)]:
+            assert_densify_matches_tree(values, n, prefix_len)
+        assert general_dense_prefixes(values, 2, 112) == [(p("2001:db8::"), 111, 11)]
+
+    def test_runs_touching_both_ends(self):
+        low = [p("2001:db8::1"), p("2001:db8::2"), p("2001:db8::3")]
+        middle = [p("2400:1::1"), p("2401::1"), p("2600::1"), p("2800::1")]
+        high = [p("2a00::1"), p("2a00::2"), p("2a00::3")]
+        values = low + middle + high
+        size = len(values)
+        assert candidate_pairs(values, 2, 112) == ([0, 1, size - 3, size - 2], size - 1)
+        for n, prefix_len in [(2, 112), (3, 120), (2, 124), (2, 126)]:
+            assert_densify_matches_tree(values, n, prefix_len)
+        assert general_dense_prefixes(values, 2, 112) == [
+            (p("2001:db8::"), 126, 3),
+            (p("2a00::"), 126, 3),
+        ]
+
+    def test_single_candidate_between_barriers(self):
+        values = [
+            p("2400::1"),
+            p("2600::1"),
+            p("2700::1"),
+            p("2700::2"),
+            p("2800::1"),
+            p("2900::1"),
+        ]
+        assert candidate_pairs(values, 2, 112) == ([2], 5)
+        assert_densify_matches_tree(values, 2, 112)
+        assert general_dense_prefixes(values, 2, 112) == [(p("2700::"), 126, 2)]
+
+    def test_nested_runs(self):
+        # Two candidate runs split by a barrier; each nests branch nodes
+        # (/127 and /126 inside /119, /126 and /127 inside /124), and the second run's lengths sit
+        # above the first's, so its bounds must stop at the barrier.
+        first = [p("2001:db8::10"), p("2001:db8::11"), p("2001:db8::12")]
+        first += [p("2001:db8::100"), p("2001:db8::101")]
+        second = [p("2a00::1"), p("2a00::2"), p("2a00::3"), p("2a00::9"), p("2a00::a")]
+        values = first + [p("2600::1")] + second
+        pairs, num_pairs = candidate_pairs(values, 2, 112)
+        assert pairs == [0, 1, 2, 3, 6, 7, 8, 9] and num_pairs == 10
+        for n, prefix_len in [(2, 112), (2, 120), (3, 120), (2, 124), (4, 112), (5, 124)]:
+            assert_densify_matches_tree(values, n, prefix_len)
+        assert general_dense_prefixes(values, 3, 124) == [
+            (p("2001:db8::10"), 126, 3),
+            (p("2a00::"), 124, 5),
+        ]
+
+
+#: The general-densify classes the spatial benchmark and ``perfbench`` run.
+DENSIFY_CLASSES = [(2, 112), (8, 112), (2, 120)]
+PROPERTY_CLASSES = sorted({(cls.n, cls.p) for cls in TABLE3_CLASSES} | set(DENSIFY_CLASSES))
+
+
+@st.composite
+def client_shaped_sets(draw):
+    """Random IIDs in recurring client /64s, plus a few low-IID clusters."""
+    u64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
+    client_nets = draw(st.lists(u64, min_size=1, max_size=30, unique=True))
+    values = set()
+    for _ in range(draw(st.integers(min_value=0, max_value=80))):
+        net = client_nets[draw(st.integers(0, len(client_nets) - 1))]
+        values.add((net << 64) | draw(u64))
+    server_nets = draw(st.lists(u64, min_size=0, max_size=3, unique=True))
+    for net in server_nets:
+        iids = draw(
+            st.lists(
+                st.one_of(st.integers(1, 0xFF), st.integers(0x100, 0xFFFF)),
+                min_size=1,
+                max_size=25,
+            )
+        )
+        values.update((net << 64) | iid for iid in iids)
+    return sorted(values)
+
+
+class TestClientShapedProperty:
+    """Sparse client-shaped sets, where most pairs are pruned away."""
+
+    @given(client_shaped_sets())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_tree(self, values):
+        for n, prefix_len in PROPERTY_CLASSES:
+            assert_densify_matches_tree(values, n, prefix_len)
+
+
+class TestLengthsShape:
+    """A caller's ``lengths`` must be the set's adjacent-LCP array."""
+
+    VALUES = [1, 2, 3, 100, 101, 1 << 127]
+
+    def setup_method(self):
+        self.array = obstore.to_array(self.VALUES)
+        self.lengths = adjacent_common_prefix_lengths(self.array)
+
+    def wrong_shapes(self):
+        return [self.lengths[:2], np.append(self.lengths, 0), self.lengths[None, :]]
+
+    def test_dense_runs_rejects_wrong_shape(self):
+        assert dense_runs(self.array, 2, 120, self.lengths)[1] == 5
+        for lengths in self.wrong_shapes():
+            with pytest.raises(ValueError, match=r"\(size - 1,\) = \(5,\)"):
+                dense_runs(self.array, 2, 120, lengths)
+
+    def test_prefix_runs_rejects_wrong_shape(self):
+        for lengths in self.wrong_shapes():
+            with pytest.raises(ValueError, match=r"\(size - 1,\)"):
+                prefix_runs(self.array, 120, lengths)
+
+    def test_find_dense_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"\(size - 1,\)"):
+            find_dense(self.array, DensityClass(2, 120), self.lengths[:2])
+
+    def test_general_densify_rejects_wrong_shape(self):
+        for lengths in self.wrong_shapes():
+            for n, prefix_len in [(2, 120), (2, 112), (1, 0)]:
+                with pytest.raises(ValueError, match=r"\(size - 1,\)"):
+                    general_dense_prefixes(self.array, n, prefix_len, lengths=lengths)
+
+    def test_small_sets_take_empty_lengths(self):
+        empty = np.empty(0, dtype=np.int64)
+        no_addresses = np.empty(0, dtype=obstore.ADDRESS_DTYPE)
+        one = obstore.to_array([p("2001:db8::1")])
+        assert general_dense_prefixes(no_addresses, 2, 112, lengths=empty) == []
+        assert general_dense_prefixes(one, 1, 0, lengths=empty) == [(0, 0, 1)]
+        assert dense_runs(one, 1, 128, empty) == ([(p("2001:db8::1"), 128, 1)], 1)
+        with pytest.raises(ValueError, match=r"\(size - 1,\) = \(0,\)"):
+            general_dense_prefixes(one, 1, 0, lengths=np.zeros(1, dtype=np.int64))
+        with pytest.raises(ValueError, match=r"\(size - 1,\) = \(0,\)"):
+            prefix_runs(no_addresses, 112, np.zeros(1, dtype=np.int64))
 
 
 class TestGoldenTable3:
