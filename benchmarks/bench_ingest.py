@@ -20,7 +20,9 @@ a synthetic multi-day store of daily aggregated logs:
 Every store is checked against a reference built from the generated
 columns with a structured ``np.unique`` (independent of the library's
 merge).  ``stages`` splits the serial text parse of each log set into
-tokenize / addresses / hits / merge seconds, summed over days.
+tokenize / addresses / hits / merge seconds, summed over days, and
+``stage_minor_faults`` gives each stage's minor page faults
+(``getrusage`` ``ru_minflt``) over the same parse.
 
 Usage::
 
@@ -39,6 +41,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import sys
 import tempfile
 import time
@@ -197,43 +200,50 @@ def _reference_store(
     return store
 
 
-def _stage_split(paths: List[str]) -> Dict[str, float]:
-    """Serial parse seconds per reader stage, summed over ``paths``.
+def _mark() -> Tuple[float, int]:
+    """Wall clock and this process's minor page-fault count, now."""
+    return time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _stage_split(paths: List[str]) -> Tuple[Dict[str, float], Dict[str, int]]:
+    """Serial parse seconds and minor page faults per reader stage.
 
     Runs the stages of ``logfile.read_daily_log_arrays`` (the three of
-    its row stage, then the merge) one by one and checks that together
-    they give the reader's result.
+    its row stage, then the merge) one by one over ``paths``, sums each
+    stage's seconds and ``ru_minflt`` delta over the days, and checks
+    that together the stages give the reader's result.
     """
-    seconds = {"tokenize": 0.0, "addresses": 0.0, "hits": 0.0, "merge": 0.0}
+    names = ("tokenize", "addresses", "hits", "merge")
+    seconds = dict.fromkeys(names, 0.0)
+    faults = dict.fromkeys(names, 0)
     for path in paths:
         with open(path, "rb") as handle:
             raw = np.frombuffer(handle.read(), dtype=np.uint8)
-        start = time.perf_counter()
+        marks = [_mark()]
         day, a_starts, a_ends, h_starts, h_ends, lines = logfile._entry_spans(
             raw, path, False, None
         )
-        tokenized = time.perf_counter()
+        marks.append(_mark())
         hi, lo, bad = logfile._address_column(
             raw, a_starts, a_ends, lines, path, False, None
         )
-        parsed = time.perf_counter()
+        marks.append(_mark())
         hits = logfile._hit_column(
             raw, h_starts, h_ends, lines, bad, path, False, None
         )
-        counted = time.perf_counter()
+        marks.append(_mark())
         if not strictly_increasing(hi, lo):
             hi, lo, hits = merge_halves(hi, lo, hits)
-        merged = time.perf_counter()
-        seconds["tokenize"] += tokenized - start
-        seconds["addresses"] += parsed - tokenized
-        seconds["hits"] += counted - parsed
-        seconds["merge"] += merged - counted
+        marks.append(_mark())
+        for name, (start, end) in zip(names, zip(marks, marks[1:])):
+            seconds[name] += end[0] - start[0]
+            faults[name] += end[1] - start[1]
         want = logfile.read_daily_log_arrays(path)
         if day != want[0] or not all(
             np.array_equal(a, b) for a, b in zip((hi, lo, hits), want[1:])
         ):
             raise AssertionError(f"stage split differs from the reader on {path}")
-    return seconds
+    return seconds, faults
 
 
 def _timed(fn, repeats: int = 1) -> Tuple[float, object]:
@@ -267,6 +277,7 @@ def run_benchmark(
 ) -> Dict:
     results: Dict[str, float] = {}
     stages: Dict[str, Dict[str, float]] = {}
+    stage_faults: Dict[str, Dict[str, int]] = {}
     columns = _synthetic_days(days, addrs_per_day, seed)
     with tempfile.TemporaryDirectory(prefix="bench-ingest-") as directory:
         log_dir = os.path.join(directory, "logs")
@@ -310,8 +321,8 @@ def run_benchmark(
         results["parallel_cold_shuffled"], shuffled["parallel_cold_shuffled"] = (
             _timed(lambda: logfile.load_store(shuffled_paths, jobs=jobs))
         )
-        stages["canonical"] = _stage_split(paths)
-        stages["shuffled"] = _stage_split(shuffled_paths)
+        stages["canonical"], stage_faults["canonical"] = _stage_split(paths)
+        stages["shuffled"], stage_faults["shuffled"] = _stage_split(shuffled_paths)
 
     for expected, group in [
         (_reference_store(columns), stores),
@@ -346,6 +357,7 @@ def run_benchmark(
             logs: {k: round(v, 4) for k, v in split.items()}
             for logs, split in stages.items()
         },
+        "stage_minor_faults": stage_faults,
         "speedups": {k: round(v, 2) for k, v in speedups.items()},
         "targets": {
             "warm_cache_vs_seed >= 10x": speedups.get("warm_cache_vs_seed"),

@@ -133,13 +133,26 @@ def member_mask(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def union_many(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """Union of any number of address arrays (empty input gives empty set)."""
-    if not arrays:
-        return np.empty(0, dtype=ADDRESS_DTYPE)
-    return halves_to_array(
-        np.concatenate([array["hi"] for array in arrays]),
-        np.concatenate([array["lo"] for array in arrays]),
-    )
+    """Union of any number of address arrays (empty input gives empty set).
+
+    The arrays are copied one after another into big-endian ``(hi, lo)``
+    rows, whose 16 bytes compare (as ``S16``, byte by byte) in the
+    order of the 128-bit values.  A stable sort of that view merges the
+    sorted arrays as runs, and the first row of each run of equal rows
+    is kept.  (The view is only sorted, never read as scalars: numpy
+    strips trailing NUL bytes from an ``S16`` scalar.)
+    """
+    keys = np.empty((sum(array.shape[0] for array in arrays), 2), dtype=">u8")
+    row = 0
+    for array in arrays:
+        keys[row : row + array.shape[0], 0] = array["hi"]
+        keys[row : row + array.shape[0], 1] = array["lo"]
+        row += array.shape[0]
+    keys.view("S16").sort(axis=0, kind="stable")
+    hi, lo = keys[:, 0], keys[:, 1]
+    first = np.ones(hi.shape[0], dtype=bool)
+    first[1:] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])
+    return _pack_halves(hi[first], lo[first])
 
 
 def strictly_increasing(hi: np.ndarray, lo: np.ndarray) -> bool:

@@ -14,8 +14,6 @@ Example:
 
 from __future__ import annotations
 
-from typing import Tuple
-
 from repro.net import addr
 from repro.net.prefix import Prefix, PrefixError
 
@@ -87,12 +85,3 @@ def prefix_for_zone(zone: str) -> Prefix:
             raise ValueError(f"bad nybble label {label!r} in {zone!r}")
         network |= int(label, 16) << (124 - 4 * position)
     return Prefix(network, 4 * len(labels))
-
-
-def split_name(name: str) -> Tuple[int, str]:
-    """Split a PTR owner name into (address, trailing suffix).
-
-    Convenience for walking zone files: accepts the full 32-label form
-    only, returning the parsed address and the constant suffix.
-    """
-    return from_arpa(name), ARPA_SUFFIX

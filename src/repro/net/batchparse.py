@@ -12,23 +12,27 @@ RFC 5952 output, fixed-width ``format_full`` output, and any mix of
 upper/lower case, leading zeros and a single ``::`` compression.  Its
 kernel, :func:`parse_spans`, reads the tokens in place in one byte
 buffer (a whole day log, or a column of strings joined into one), given
-each token's ``(start, end)``:
+each token's ``(start, end)``.  It runs over blocks of a fixed number of
+tokens, so every temporary is sized by a block, not by the buffer; each
+block reads only the bytes its tokens span and writes its rows of the
+result in place:
 
-1. one lookup-table pass classifies every byte of the buffer (hex digit
+1. one lookup-table pass classifies every byte of the block (hex digit
    value / colon / bad byte);
-2. the positions of colons and bad bytes are taken with ``flatnonzero``;
-3. per token, ``searchsorted`` gives its colon count, its first colon
-   and whether it holds a bad byte;
-4. the token's colons give an ``(n, 9)`` *slot matrix*: the end and
-   length of each colon-separated field;
-5. the structural rules (groups of at most 4 digits, a leading or
+2. the positions of its colons are taken with ``flatnonzero``;
+3. per token, ``searchsorted`` gives its colon count and first colon;
+4. the token's colons give a slot-major ``(9, m)`` *slot matrix*: the
+   end and length of each colon-separated field, so every step and
+   reduction runs along ``m`` tokens, not along 9 fields;
+5. each field's value is read as one little-endian ``uint32`` word
+   ending at its last digit and masked to the field's length; a field
+   of at most 4 bytes lies wholly in its word, so a bad byte shows as a
+   class byte above 0x0F there;
+6. the rules (no bad byte, groups of at most 4 digits, a leading or
    trailing colon only as half of ``::``, exactly one ``::``, group
    counts) are checked in slot space into a *fast-path eligibility
-   mask*;
-6. each group's value is read as one little-endian ``uint32`` word
-   ending at its last digit, masked to the group's length and folded
-   into 16 bits, then scattered into an ``(n, 8)`` big-endian matrix
-   whose rows are the two 64-bit halves.
+   mask*, and each word is folded into 16 bits and scattered into an
+   ``(m, 8)`` big-endian matrix whose rows are the two 64-bit halves.
 
 Rows that are not eligible — embedded dotted-quad IPv4, surrounding
 whitespace, NUL bytes, zone identifiers, non-ASCII text, tokens over
@@ -75,19 +79,31 @@ _HEXCHARS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
 _MAX_WIDTH = 48
 
 #: A fast-path token has at most 8 colons (``::1:2:3:4:5:6:7``), so at
-#: most 9 colon-separated fields: the columns of the slot matrix.
-_SLOTS = np.arange(9, dtype=np.int8)
+#: most 9 colon-separated fields: the rows of the slot matrix, whose
+#: indices this column holds.
+_SLOTS = np.arange(9, dtype=np.int8)[:, None]
+
+#: Tokens per block of the span kernel: every temporary is sized by a
+#: block, not by the whole buffer.
+_BLOCK = 2048
 
 #: Every group's value is read as the 4-byte word that ends at its last
 #: digit; the class buffer starts with this many padding bytes so the
 #: word of a short group at byte 0 never reads before the buffer.
 _LOOKBEHIND = 4
+_HEAD = bytes(_LOOKBEHIND)
+_TAIL = b":" * _SLOTS.shape[0]
 
 #: Per group length 0-4: the bytes of its little-endian word that are
 #: the group's own digits (the high end of the word).
 _KEEP_DIGITS = np.array(
     [0, 0xFF000000, 0xFFFF0000, 0xFFFFFF00, 0xFFFFFFFF], dtype=np.uint32
 )
+
+#: The high nibble of each byte of a word: zero for hex digit classes,
+#: set for ``_BAD``.
+_NOT_DIGITS = np.uint32(0xF0F0F0F0)
+
 
 def _as_text_list(strings: "Iterable[str]") -> List[str]:
     if isinstance(strings, list):
@@ -118,61 +134,94 @@ def parse_spans(
     fast_mask)``; rows where ``fast_mask`` is False were not parsed
     (left zero) and must be handled by the scalar parser.  This is the
     building block :func:`parse_batch` and the day-log reader share.
+    The tokens are parsed ``_BLOCK`` at a time, so no temporary grows
+    with the number of tokens.
     """
     n = starts.shape[0]
     hi = np.zeros(n, dtype=np.uint64)
     lo = np.zeros(n, dtype=np.uint64)
     fast = np.zeros(n, dtype=bool)
-    padded = bytearray(_LOOKBEHIND + raw.shape[0])
-    padded[_LOOKBEHIND:] = np.ascontiguousarray(raw, dtype=np.uint8).data
-    classes = np.frombuffer(padded.translate(_CLASS_TABLE), dtype=np.uint8)
-    body = classes[_LOOKBEHIND:]
-    # Sentinels at the buffer's end keep every lookup below in range.
-    colons = np.append(
-        np.flatnonzero(body == _COLON_CLASS), np.full(_SLOTS.shape[0], raw.shape[0])
-    )
-    bad = np.append(np.flatnonzero(body == _BAD), raw.shape[0])
+    raw = np.ascontiguousarray(raw, dtype=np.uint8)
+    for first in range(0, n, _BLOCK):
+        block = slice(first, first + _BLOCK)
+        _parse_block(raw, starts[block], ends[block], hi[block], lo[block], fast[block])
+    return hi, lo, fast
 
-    # Per token: no bad byte, 2-8 colons, at most _MAX_WIDTH bytes.
+
+def _parse_block(
+    raw: np.ndarray,
+    starts: np.ndarray,
+    ends: np.ndarray,
+    hi: np.ndarray,
+    lo: np.ndarray,
+    fast: np.ndarray,
+) -> None:
+    """:func:`parse_spans` for one block of tokens, into views of its output.
+
+    The block reads only its own bytes, ``raw[min(starts):max(ends)]``,
+    with its spans rebased onto them.  Its slot matrices are slot-major,
+    ``(9, m)`` for ``m`` candidate tokens, so every elementwise step and
+    reduction runs over ``m`` contiguous elements.
+    """
+    base = int(starts.min())
+    top = int(ends.max())
+    starts = starts - base
+    ends = ends - base
+    # The class buffer: look-behind padding, the block's bytes, then one
+    # colon per slot past every token's end, which keeps every colon
+    # lookup below in range.
+    padded = b"".join((_HEAD, raw[base:top].data, _TAIL)).translate(_CLASS_TABLE)
+    classes = np.frombuffer(padded, dtype=np.uint8)
+    colons = np.flatnonzero(classes[_LOOKBEHIND:] == _COLON_CLASS)
+
+    # Candidates: 2-8 colons and at most _MAX_WIDTH bytes.
     first_colon = np.searchsorted(colons, starts)
     n_colons = np.searchsorted(colons, ends) - first_colon
-    clean = bad[np.searchsorted(bad, starts)] >= ends
     rows = np.flatnonzero(
-        clean
-        & (n_colons >= 2)
-        & (n_colons < _SLOTS.shape[0])
-        & (ends - starts <= _MAX_WIDTH)
+        (n_colons >= 2) & (n_colons < _SLOTS.shape[0]) & (ends - starts <= _MAX_WIDTH)
     )
     if rows.shape[0] == 0:
-        return hi, lo, fast
+        return
     k = n_colons[rows]
-    k_col = k[:, None]
 
     # Slot matrix: field j ends at the token's j-th colon or at the token's
     # end, whichever comes first (colons past the token's last belong to
     # later tokens, or are the sentinels).  Slots past the last field
     # (j > k) get length -1, which no rule below counts and whose word
     # is masked to zero.
-    window = np.lib.stride_tricks.sliding_window_view(colons, _SLOTS.shape[0])
-    slot_end = np.minimum(window[first_colon[rows]], ends[rows][:, None])
+    slot_end = colons.take(first_colon[rows] + _SLOTS)
+    np.minimum(slot_end, ends[rows], out=slot_end)
     length = np.empty_like(slot_end)
-    length[:, 0] = slot_end[:, 0] - starts[rows]
-    np.subtract(slot_end[:, 1:], slot_end[:, :-1] + 1, out=length[:, 1:])
+    np.subtract(slot_end[0], starts[rows], out=length[0])
+    np.subtract(slot_end[1:], slot_end[:-1], out=length[1:])
+    length[1:] -= 1
 
-    # The structural rules, in slot space: groups of at most 4 digits;
-    # a leading or trailing colon only as half of '::'; either no '::'
-    # and 8 groups, or exactly one '::' (an empty interior field) and at
-    # most 7 groups.
+    # Each field's value is the little-endian word whose last byte is the
+    # field's last digit, masked to the field's own bytes (the high end
+    # of the word).  A field of at most 4 bytes lies wholly in its word,
+    # so a bad byte anywhere in such a token shows as a class byte above
+    # 0x0F in some word.
+    words = np.ndarray(
+        (classes.shape[0] - 3,), dtype="<u4", buffer=classes, strides=(1,)
+    )
+    word = words.take(slot_end)
+    word &= _KEEP_DIGITS.take(length, mode="clip")
+
+    # The structural rules, in slot space: no bad byte; groups of at most
+    # 4 digits; a leading or trailing colon only as half of '::'; either
+    # no '::' and 8 groups, or exactly one '::' (an empty interior field)
+    # and at most 7 groups.
     empty = length == 0
     present = length > 0
-    pair = empty & (_SLOTS >= 1) & (_SLOTS < k_col)
-    n_pairs = pair.sum(axis=1)
-    n_groups = present.sum(axis=1)
-    row_index = np.arange(rows.shape[0])
-    lead_ok = ~empty[:, 0] | empty[:, 1]
-    trail_ok = ~empty[row_index, k] | empty[row_index, k - 1]
+    pair = empty & (_SLOTS >= 1) & (_SLOTS < k)
+    n_pairs = pair.sum(axis=0)
+    n_groups = present.sum(axis=0)
+    column = np.arange(rows.shape[0])
+    lead_ok = ~empty[0] | empty[1]
+    trail_ok = ~empty[k, column] | empty[k - 1, column]
     ok = (
-        (length <= 4).all(axis=1)
+        (np.bitwise_or.reduce(word, axis=0) & _NOT_DIGITS == 0)
+        & (length.max(axis=0) <= 4)
         & lead_ok
         & trail_ok
         & (
@@ -182,38 +231,33 @@ def parse_spans(
     )
 
     # Group index: fields right of the '::' move right by the 7 - k
-    # groups it elides (0 on uncompressed rows).
-    shift = (7 - k_col).astype(np.int8)
-    group = _SLOTS + (_SLOTS > pair.argmax(axis=1)[:, None]) * shift
+    # groups it elides (0 on uncompressed rows).  The pivot is the last
+    # '::' slot, or slot 0 on a row without one, so a present field's
+    # index is 0-7 on every row, well-formed or not: on a 9-field row
+    # without '::' (k = 8) fields 1-8 move left by one.
+    pivot = (pair * _SLOTS).max(axis=0)
+    group = _SLOTS + (_SLOTS > pivot) * (7 - k).astype(np.int8)
 
-    # Each group is the little-endian word whose last byte is the
-    # group's last digit; keep the group's own bytes and fold its four
-    # nibbles (most significant digit in the lowest byte) into 16 bits.
-    words = np.ndarray(
-        (classes.shape[0] - 3,), dtype="<u4", buffer=classes, strides=(1,)
-    )
-    word = words[slot_end] & _KEEP_DIGITS.take(length, mode="clip")
+    # Fold each word's four nibbles (most significant digit in the
+    # lowest byte) into 16 bits and scatter the present groups into an
+    # (m, 8) big-endian uint16 matrix (every absent slot writes to one
+    # spare element past the end); each row's 16 bytes are then the two
+    # big-endian halves.
     value = (
         (word >> np.uint32(24))
         | ((word >> np.uint32(12)) & np.uint32(0xF0))
         | (word & np.uint32(0xF00))
         | ((word << np.uint32(12)) & np.uint32(0xF000))
     )
-
-    # Scatter the present groups into an (n, 8) big-endian uint16 matrix
-    # (a present field's group index is 0-7 on any row, well-formed or
-    # not; every other slot writes to one spare element past the end);
-    # each row's 16 bytes are then the two big-endian halves.
     size = 8 * rows.shape[0]
-    flat = np.where(present, np.arange(0, size, 8)[:, None] + group, size)
+    flat = np.where(present, np.arange(0, size, 8) + group, size)
     groups = np.zeros(size + 1, dtype=">u2")
     groups[flat] = value
-    halves = groups[:size].view(">u8").reshape(-1, 2)[ok]
+    halves = groups[:size].view(">u8").reshape(-1, 2)
     parsed = rows[ok]
-    hi[parsed] = halves[:, 0]
-    lo[parsed] = halves[:, 1]
+    hi[parsed] = halves[:, 0][ok]
+    lo[parsed] = halves[:, 1][ok]
     fast[parsed] = True
-    return hi, lo, fast
 
 
 def _parse_texts(texts: Sequence[str]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -311,6 +311,117 @@ if HAVE_HYPOTHESIS:
             assert hits.tolist() == [merged[v] for v in sorted(merged)]
 
 
+#: Block sizes that put block edges between, before and after any two
+#: neighbouring tokens of a short column.
+SMALL_BLOCKS = [1, 2, 3, 17]
+
+
+def _with_block(block, check, *args):
+    """Run ``check(*args)`` with the span kernel's block size set to ``block``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(batchparse, "_BLOCK", block)
+        check(*args)
+
+
+def _assert_spans_parse(texts, expected_fast):
+    """parse_spans over the UTF-8 bytes of ``texts``, one span each:
+    the fast rows are ``expected_fast`` and hold addr.parse's value."""
+    data = [t.encode("utf-8") for t in texts]
+    lengths = np.array([len(d) for d in data], dtype=np.int64)
+    ends = np.cumsum(lengths)
+    raw = np.frombuffer(b"".join(data), dtype=np.uint8)
+    hi, lo, fast = batchparse.parse_spans(raw, ends - lengths, ends)
+    assert fast.tolist() == expected_fast
+    values = batchparse.halves_to_ints(hi, lo)
+    for text, value, is_fast in zip(texts, values, fast):
+        assert value == (addr.parse(text) if is_fast else 0), text
+
+
+class TestBlockBoundaries:
+    @pytest.mark.parametrize("block", SMALL_BLOCKS)
+    def test_nine_fields_before_a_valid_token(self, block):
+        # A 9-field token without '::' is not eligible, but its fields
+        # are still scattered: the 9th must stay in its own row, not
+        # land in group 0 of the next token when both share a block.
+        nine = "a:b:c:d:e:f:0:1:2"
+        texts = [nine, "::1", nine, "1:2:3:4:5:6:7:8", nine, "::", nine, "::f"]
+        expected = [i % 2 == 1 for i in range(len(texts))]
+        _with_block(block, _assert_spans_parse, texts, expected)
+
+    @pytest.mark.parametrize("block", SMALL_BLOCKS)
+    def test_long_and_non_ascii_tokens_on_block_edges(self, block):
+        odd = ["0" * 49, "é::1", "::" + "0" * 47, "٣::1", "2001:db8::1\x00"]
+        valid = [addr.format_address(v) for v in EDGE_VALUES]
+        texts = []
+        for index, text in enumerate(odd * 4):
+            texts += [text] + valid[: index % 4]
+        expected = [text in valid for text in texts]
+        _with_block(block, _assert_spans_parse, texts, expected)
+        _with_block(block, _assert_matches_scalar, texts)
+
+    @pytest.mark.parametrize("block", SMALL_BLOCKS)
+    def test_empty_span_list(self, block):
+        empty = np.zeros(0, dtype=np.int64)
+        for raw in (np.zeros(0, dtype=np.uint8), np.frombuffer(b"::1", np.uint8)):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(batchparse, "_BLOCK", block)
+                hi, lo, fast = batchparse.parse_spans(raw, empty, empty)
+            assert (hi.dtype, lo.dtype, fast.dtype) == (np.uint64, np.uint64, bool)
+            assert hi.shape == lo.shape == fast.shape == (0,)
+
+    @pytest.mark.parametrize("block", [17, batchparse._BLOCK])
+    def test_column_of_several_blocks(self, block):
+        values = _rand_values(3 * block + 5, seed=block)
+        texts = [
+            (addr.format_address, addr.format_full)[i % 3 == 0](v)
+            for i, v in enumerate(values)
+        ]
+        texts[block - 1] = texts[block - 1].upper()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(batchparse, "_BLOCK", block)
+            assert batchparse.fastpath_mask(texts).all()
+            assert batchparse.parse_batch_ints(texts) == values
+
+
+if HAVE_HYPOTHESIS:
+
+    class TestBlockProperties:
+        @pytest.mark.parametrize("block", SMALL_BLOCKS)
+        @settings(max_examples=60, deadline=None)
+        @given(st.lists(address_tokens(), max_size=40))
+        def test_batch_matches_scalar_oracle(self, block, texts):
+            _with_block(block, _assert_matches_scalar, texts)
+
+        @pytest.mark.parametrize("block", SMALL_BLOCKS)
+        @settings(max_examples=40, deadline=None)
+        @given(
+            st.lists(
+                address_tokens(junk=("\x00", ".", "%", "g", "é")).filter(bool),
+                min_size=1,
+                max_size=40,
+            )
+        )
+        def test_headerless_log_matches_scalar_oracle(self, block, texts):
+            # One token per line, hit count 1, the first at byte 0: every
+            # valid line's value, or the first invalid line's number.
+            values = [_scalar_or_error(text) for text in texts]
+            with tempfile.TemporaryDirectory() as directory:
+                path = f"{directory}/day.txt"
+                with open(path, "wb") as handle:
+                    handle.write("".join(f"{t} 1\n" for t in texts).encode("utf-8"))
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(batchparse, "_BLOCK", block)
+                    if None in values:
+                        line = values.index(None) + 1
+                        with pytest.raises(logfile.LogFormatError, match=f":{line}: "):
+                            logfile.read_daily_log_arrays(path)
+                        return
+                    _day, hi, lo, hits = logfile.read_daily_log_arrays(path)
+            merged = sorted(set(values))
+            assert batchparse.halves_to_ints(hi, lo) == merged
+            assert hits.tolist() == [values.count(v) for v in merged]
+
+
 class TestRoundTrip:
     def test_random_round_trip(self):
         values = _rand_values(2048)

@@ -138,6 +138,41 @@ class TestArrays:
         assert obstore.array_size(obstore.union_many([])) == 0
 
 
+#: 128-bit values at the edges of the halves and of the byte order.
+EDGE_VALUES = [0, 1, 2**64 - 1, 2**64, 2**127, 2**128 - 1]
+
+
+@st.composite
+def _union_values(draw):
+    """An edge value, a random one, one with zero trailing bytes (its
+    big-endian key ends in NULs), or one in a few shared /64s."""
+    value = draw(st.integers(min_value=0, max_value=2**128 - 1))
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        return draw(st.sampled_from(EDGE_VALUES))
+    if kind == 1:
+        trailing = 8 * draw(st.integers(1, 15))
+        return value >> trailing << trailing
+    if kind == 2:
+        return draw(st.sampled_from(EDGE_VALUES)) >> 64 << 64 | value >> 64
+    return value
+
+
+class TestUnionMany:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(_union_values(), max_size=20), max_size=6))
+    def test_matches_set_union(self, days):
+        arrays = [obstore.to_array(values) for values in days]
+        union = obstore.union_many(arrays)
+        assert union.dtype == obstore.ADDRESS_DTYPE
+        assert obstore.from_array(union) == sorted(set().union(*days))
+
+    def test_trailing_zero_bytes_and_top_bit(self):
+        days = [[2**127, 2**64, 256, 0], [2**128 - 1, 2**127 + 1, 256], [2**64 - 1]]
+        union = obstore.union_many([obstore.to_array(values) for values in days])
+        assert obstore.from_array(union) == sorted(set().union(*days))
+
+
 class TestTruncation:
     def test_truncate_to_64(self):
         values = [p("2001:db8::1"), p("2001:db8::2"), p("2001:db9::1")]
