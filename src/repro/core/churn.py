@@ -14,9 +14,10 @@ module measures the distributions directly from a day-indexed store:
 
 These quantify what the paper's temporal classes discretize, and back
 the lifetime benchmark.  The span table is the sweep engine's grouped
-pass (:func:`repro.core.sweep.grouped_spans`): observations grouped by
-dense address id, each group reduced to its first day, last day and
-count.  Unlike the windowed sweep it has no limit on the days spanned.
+pass (:func:`repro.core.sweep.grouped_spans`): observations numbered
+by dense address id and reduced by id, without a sort, to each
+address's first day, last day and count.  Unlike the windowed sweep
+it has no limit on the days spanned.
 """
 
 from __future__ import annotations
@@ -58,9 +59,9 @@ def observation_spans(
     """Compute per-address first/last/day-count over the given days.
 
     Runs on the sweep engine's grouped pass
-    (:func:`repro.core.sweep.grouped_spans`): one stable ``argsort`` of
-    dense address ids plus ``minimum``/``maximum`` ``reduceat``, for day
-    lists in any order and of any span.
+    (:func:`repro.core.sweep.grouped_spans`): dense address ids, then
+    a scatter by id with ``np.minimum.at``/``np.maximum.at`` and
+    ``np.bincount``, for day lists in any order and of any span.
     """
     from repro.core.sweep import grouped_spans
 

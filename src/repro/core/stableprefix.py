@@ -79,25 +79,13 @@ def _stable_truncations(
     days by coincidence easily, but recurring on many days marks a real
     assignment boundary rather than chance.
     """
+    from repro.core.sweep import grouped_spans
+
     days = observations.days()
-    chunks: List[np.ndarray] = []
-    day_chunks: List[np.ndarray] = []
-    for day in days:
-        truncated = obstore.truncate_array(observations.array(day), length)
-        chunks.append(truncated)
-        day_chunks.append(np.full(truncated.shape[0], day, dtype=np.int64))
-    if not chunks:
-        return np.empty(0, dtype=obstore.ADDRESS_DTYPE)
-    combined = np.concatenate(chunks)
-    combined_days = np.concatenate(day_chunks)
-    unique, inverse = np.unique(combined, return_inverse=True)
-    first = np.full(unique.shape[0], np.iinfo(np.int64).max, dtype=np.int64)
-    last = np.full(unique.shape[0], np.iinfo(np.int64).min, dtype=np.int64)
-    day_counts = np.zeros(unique.shape[0], dtype=np.int64)
-    np.minimum.at(first, inverse, combined_days)
-    np.maximum.at(last, inverse, combined_days)
-    np.add.at(day_counts, inverse, 1)  # one entry per (day, prefix): distinct
-    return unique[((last - first) >= n) & (day_counts >= min_days)]
+    chunks = [obstore.truncate_array(observations.array(day), length) for day in days]
+    # One row per (day, prefix): the row counts are distinct days.
+    prefixes, first, last, days_seen = grouped_spans(chunks, days)
+    return prefixes[((last - first) >= n) & (days_seen >= min_days)]
 
 
 def longest_stable_prefixes(

@@ -51,7 +51,7 @@ from repro.core.temporal import (
     StabilityResult,
 )
 from repro.data import daycache
-from repro.data.store import ADDRESS_DTYPE, ObservationStore
+from repro.data.store import ADDRESS_DTYPE, ObservationStore, address_ids
 from repro.runtime.checkpoint import SweepCheckpoint, sweep_signature
 from repro.runtime.pool import PoolConfig, RunReport, supervised_map
 
@@ -65,6 +65,11 @@ WORD_DAYS = 64
 DEFAULT_CHUNK_DAYS = 50
 
 _ONE = np.uint64(1)
+
+#: The 128-bit ordering kernel (:func:`repro.data.store.address_ids`),
+#: called through this module global so a caller can count or forbid
+#: the sweep's ranking.
+_address_ids = address_ids
 
 #: Rows a chunk window may hold for its ids to be persisted as int32.
 _INT32_MAX = int(np.iinfo(np.int32).max)
@@ -106,38 +111,16 @@ def _window_gaps(
     return days[high_bit] - days[low_bit]
 
 
-def _dense_rank(values: np.ndarray) -> Tuple[np.ndarray, int]:
-    """0-based rank of each value among the distinct values, and their
-    count."""
-    order = np.argsort(values)
-    ordered = values[order]
-    fresh = np.empty(ordered.shape[0], dtype=bool)
-    fresh[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
-    ranks_in_order = np.cumsum(fresh, dtype=np.int64) - 1
-    ranks = np.empty_like(ranks_in_order)
-    ranks[order] = ranks_in_order
-    return ranks, int(ranks_in_order[-1]) + 1
-
-
-def _address_ids(hi: np.ndarray, lo: np.ndarray) -> Tuple[np.ndarray, int]:
-    """Dense id of each ``(hi, lo)`` address, numbered in address order,
-    and the number of distinct addresses.  Inputs must be non-empty."""
-    ids, _ = _dense_rank(hi)
-    lo_rank, n_lo = _dense_rank(lo)
-    ids *= n_lo
-    ids += lo_rank
-    return _dense_rank(ids)
-
-
 def grouped_spans(
     arrays: Sequence[np.ndarray], days: Sequence[int]
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-address (addresses, first, last, days_seen) over day arrays.
 
-    Groups the observations by dense address id with one stable
-    ``argsort`` and reduces each group with ``minimum``/``maximum``
-    ``reduceat``; days may be given in any order and span any range.
+    Numbers the observations by dense address id and reduces by id
+    without sorting them: every row of an id holds the same address, so
+    the addresses are scattered to their ids, ``np.minimum.at`` /
+    ``np.maximum.at`` give the first and last day and ``np.bincount``
+    the days seen.  Days may be given in any order and span any range.
     Backs :func:`repro.core.churn.observation_spans`.
     """
     sizes = [array.shape[0] for array in arrays]
@@ -148,19 +131,15 @@ def grouped_spans(
     hi = np.concatenate([array["hi"] for array in arrays])
     lo = np.concatenate([array["lo"] for array in arrays])
     ids, count = _address_ids(hi, lo)
-    order = np.argsort(ids, kind="stable")
-    days_seen = np.bincount(ids, minlength=count).astype(np.int64)
-    starts = np.concatenate([[0], np.cumsum(days_seen[:-1])])
-    day = np.repeat(np.asarray([int(d) for d in days], dtype=np.int64), sizes)[order]
+    day = np.repeat(np.asarray([int(d) for d in days], dtype=np.int64), sizes)
     addresses = np.empty(count, dtype=ADDRESS_DTYPE)
-    addresses["hi"] = hi[order[starts]]
-    addresses["lo"] = lo[order[starts]]
-    return (
-        addresses,
-        np.minimum.reduceat(day, starts),
-        np.maximum.reduceat(day, starts),
-        days_seen,
-    )
+    addresses["hi"][ids] = hi
+    addresses["lo"][ids] = lo
+    first = np.full(count, np.iinfo(np.int64).max, dtype=np.int64)
+    last = np.full(count, np.iinfo(np.int64).min, dtype=np.int64)
+    np.minimum.at(first, ids, day)
+    np.maximum.at(last, ids, day)
+    return addresses, first, last, np.bincount(ids, minlength=count).astype(np.int64)
 
 
 def _plan_chunks(ref_days: Sequence[int], chunk_days: int) -> List[List[int]]:

@@ -27,10 +27,12 @@ There is one parser.  Its row stage (:func:`_parse_rows`) is columnar,
 in three vectorized stages over the raw bytes: tokenize (token and
 newline positions, found once per file), addresses (parsed in place by
 the span kernel :func:`repro.net.batchparse.parse_spans`) and hit
-counts (a handful of digit passes).  :func:`read_daily_log_arrays`
-then merges the rows (:func:`repro.data.store.merge_halves`, skipped
-for canonical logs); :func:`read_daily_log` merges them in first-seen
-order over Python ints.  Only exotic rows (embedded IPv4, counts of
+counts (one gather per digit column, right to left).
+:func:`read_daily_log_arrays` then merges the rows
+(:func:`repro.data.store.merge_halves`, which ranks the addresses with
+:func:`repro.data.store.address_ids` and sums hits by rank; skipped for
+canonical logs); :func:`read_daily_log` merges them in first-seen order
+over Python ints.  Only exotic rows (embedded IPv4, counts of
 20 or more digits, …) fall back to scalar code.  :func:`load_store` can
 additionally reuse the binary columnar cache in
 :mod:`repro.data.daycache`, serving hits in the calling process, and
@@ -82,7 +84,6 @@ class LogFormatError(ValueError):
 _NEWLINE = 0x0A
 _HASH = ord("#")
 _ZERO = ord("0")
-_NINE = ord("9")
 
 #: Hit counts of at most this many digits are parsed vectorized; longer
 #: ones take the scalar path (and must still fit in uint64).
@@ -212,19 +213,6 @@ def _line_text(raw: np.ndarray, newlines: np.ndarray, line_id: int) -> str:
     return bytes(raw[start:end]).decode("utf-8", errors="replace").strip()
 
 
-def _gather_matrix(
-    data: np.ndarray, starts: np.ndarray, lengths: np.ndarray, width: int
-) -> np.ndarray:
-    """Gather variable-length byte tokens into a NUL-padded matrix."""
-    span = np.arange(width)
-    index = starts[:, None] + span
-    valid = span < lengths[:, None]
-    np.clip(index, 0, data.shape[0] - 1, out=index)
-    matrix = data[index]
-    matrix[~valid] = 0
-    return matrix
-
-
 def _entry_spans(
     raw: np.ndarray,
     path: str,
@@ -328,26 +316,31 @@ def _hit_column(
 ) -> np.ndarray:
     """Hit-count stage: the counts, marking new faults in ``bad_rows``.
 
-    Counts of up to 19 ASCII digits are evaluated with vectorized digit
-    passes; longer ones take the scalar path and must fit in uint64.
+    Counts of up to 19 ASCII digits are read one digit column at a time,
+    right to left, each column one gather over the rows (no row-by-digit
+    matrix); longer ones take the scalar path and must fit in uint64.
     """
     lengths = ends - starts
     slow_hits = lengths > _MAX_FAST_HIT_DIGITS
-    # Slow rows gather nothing: the scalar path below checks them.
-    lengths = np.where(slow_hits, 0, lengths)
-    hit_matrix = _gather_matrix(
-        raw, starts, lengths, min(int(lengths.max()), _MAX_FAST_HIT_DIGITS)
-    )
-    in_token = np.arange(hit_matrix.shape[1]) < lengths[:, None]
-    digit_ok = (hit_matrix >= _ZERO) & (hit_matrix <= _NINE)
-    faults = dict.fromkeys(
-        np.flatnonzero((in_token & ~digit_ok).any(axis=1)).tolist(), "bad hit count"
-    )
-    digits = (hit_matrix - _ZERO).astype(np.uint64)
+    # Slow rows read no digit: the scalar path below checks them.
+    lengths[slow_hits] = 0
     hits = np.zeros(lengths.shape[0], dtype=np.uint64)
-    for column in range(hit_matrix.shape[1]):
+    scaled = np.empty_like(hits)
+    bad_digit = np.zeros(lengths.shape[0], dtype=bool)
+    for column in range(int(lengths.max())):
+        # Digit `column` from the right of every count.  Shorter rows
+        # read an earlier byte (clipped at the buffer start), which is
+        # zeroed; uint8 wraps, so a non-digit byte maps above 9.
         active = column < lengths
-        hits = np.where(active, hits * np.uint64(10) + digits[:, column], hits)
+        digit = raw.take(ends - (column + 1), mode="clip")
+        digit -= _ZERO
+        bad_digit |= active & (digit > 9)
+        digit *= active
+        # The multiply runs in uint64 on every numpy: under numpy 1.x
+        # value-based promotion, `digit * np.uint64(100)` stays uint8.
+        np.multiply(digit, np.uint64(10**column), out=scaled, dtype=np.uint64)
+        hits += scaled
+    faults = dict.fromkeys(np.flatnonzero(bad_digit).tolist(), "bad hit count")
     for i in np.flatnonzero(slow_hits).tolist():
         token = bytes(raw[starts[i] : ends[i]])
         # Leading zeros stripped, a uint64 has at most 20 digits; the

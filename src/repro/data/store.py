@@ -57,28 +57,63 @@ def _pack_halves(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return array
 
 
+def _dense_rank(values: np.ndarray) -> Tuple[np.ndarray, int]:
+    """0-based rank of each value among the distinct values, and their
+    count.  ``values`` must be non-empty."""
+    order = np.argsort(values)
+    ordered = values[order]
+    fresh = np.empty(ordered.shape[0], dtype=bool)
+    fresh[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
+    ranks_in_order = np.cumsum(fresh, dtype=np.int64) - 1
+    ranks = np.empty_like(ranks_in_order)
+    ranks[order] = ranks_in_order
+    return ranks, int(ranks_in_order[-1]) + 1
+
+
+def address_ids(hi: np.ndarray, lo: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Dense id of each ``(hi, lo)`` address, numbered in address order,
+    and the number of distinct addresses.  Inputs must be non-empty.
+
+    The one 128-bit ordering kernel: three unstable ``argsort``s (numpy
+    runs them as SIMD quicksorts), ranking ``hi``, ``lo`` and then the
+    packed rank pair ``rank_hi * n_lo + rank_lo``.  Both ranks are below
+    the row count ``n``, so the pair stays exact in int64 while
+    ``n * n < 2**63``, i.e. below ~3.0e9 rows.  Equal pairs get equal
+    ids, and ids increase with the 128-bit value.
+    """
+    ids, _ = _dense_rank(hi)
+    lo_rank, n_lo = _dense_rank(lo)
+    ids *= n_lo
+    ids += lo_rank
+    return _dense_rank(ids)
+
+
 def merge_halves(
     hi: np.ndarray, lo: np.ndarray, hits: "Optional[np.ndarray]" = None
 ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """Sort ``(hi, lo)`` pairs, keep each distinct pair once, sum its hits.
 
-    The one merge of the data layer: a ``lexsort`` orders the pairs by
-    their 128-bit value, the first row of each run of equal pairs is
-    kept, and ``hits`` (when given) are summed per run with
-    ``np.add.reduceat``, wrapping modulo 2**64 like any uint64 sum.
-    Returns ``(hi, lo, hits)``; ``hits`` is None when none were given.
+    The one merge of the data layer: :func:`address_ids` numbers the
+    distinct pairs in 128-bit order, each pair is scattered to its id
+    (equal pairs write the same value), and ``hits`` (when given) are
+    summed per id with ``np.add.at`` into uint64, wrapping modulo 2**64
+    like any uint64 sum.  Returns ``(hi, lo, hits)``; ``hits`` is None
+    when none were given.
     """
-    order = np.lexsort((lo, hi))
-    hi, lo = hi[order], lo[order]
-    first = np.ones(hi.shape[0], dtype=bool)
-    first[1:] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])
-    runs = np.flatnonzero(first)
+    if hi.shape[0] == 0:
+        summed = None if hits is None else np.zeros(0, dtype=np.uint64)
+        return hi.copy(), lo.copy(), summed
+    ids, count = address_ids(hi, lo)
+    merged_hi = np.empty(count, dtype=np.uint64)
+    merged_lo = np.empty(count, dtype=np.uint64)
+    merged_hi[ids] = hi
+    merged_lo[ids] = lo
     summed = None
     if hits is not None:
-        summed = np.add.reduceat(
-            np.asarray(hits, dtype=np.uint64)[order], runs, dtype=np.uint64
-        )
-    return hi[runs], lo[runs], summed
+        summed = np.zeros(count, dtype=np.uint64)
+        np.add.at(summed, ids, np.asarray(hits, dtype=np.uint64))
+    return merged_hi, merged_lo, summed
 
 
 def to_array(addresses: Iterable[int]) -> np.ndarray:

@@ -235,7 +235,7 @@ an ~80x speedup on 1M-address densify — and a single stray per-element
 loop silently reintroduces the old complexity class.
 
 Fix: replace the loop with column operations (searchsorted, cumsum,
-lexsort, bincount); to materialize Python ints at an API boundary, use
+repro.data.store.address_ids, bincount); to materialize Python ints at an API boundary, use
 the vectorized repro.net.batchparse.halves_to_ints /
 repro.data.store.from_array helpers.
 
@@ -874,6 +874,53 @@ path, where the process is already exiting.
         return True
 
 
+# ---------------------------------------------------------------------------
+# R008 — np.lexsort over address columns instead of the ordering kernel.
+# ---------------------------------------------------------------------------
+
+
+class LexsortRule(Rule):
+    """R008: ``np.lexsort`` in src/ instead of ``store.address_ids``."""
+
+    rule_id = "R008"
+    title = "np.lexsort in src/; order 128-bit pairs with store.address_ids"
+    scope = ("src",)
+    rationale = """\
+Invariant: the library orders ``(hi, lo)`` address pairs with one
+kernel, repro.data.store.address_ids: three unstable argsorts (numpy
+runs them as SIMD quicksorts) give each pair a dense id in 128-bit
+order, which is everything a merge, a group-by or a dedupe needs.
+
+Historical bug: the ingest merge (store.merge_halves) ordered pairs
+with a two-key ``np.lexsort``, a mergesort over both columns; on the
+shuffled logs of benchmarks/bench_ingest.py it cost 1.0 s of the
+30 x 100k text parse, and ~10 ms of each 40k-line day, twice what the
+ranked merge takes.
+
+Fix: number the pairs with ``address_ids(hi, lo)`` and scatter or
+reduce by id (``out[ids] = hi``, ``np.add.at``, ``np.bincount``,
+``np.minimum.at``); for sorted arrays that only need merging, see
+store.union_many.
+
+Suppress with ``# repro-lint: ignore[R008]`` where the keys are not
+address halves and a stable multi-key order is really wanted.
+"""
+
+    def check(self, tree: ast.AST) -> List[RawFinding]:
+        findings: List[RawFinding] = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _terminal_name(node.func) == "lexsort":
+                findings.append(
+                    RawFinding(
+                        node.lineno,
+                        node.col_offset,
+                        "np.lexsort orders address pairs by a two-key "
+                        "mergesort; use repro.data.store.address_ids",
+                    )
+                )
+        return findings
+
+
 #: Every rule, in id order.
 RULES: Tuple[Rule, ...] = (
     FloatThresholdRule(),
@@ -883,6 +930,7 @@ RULES: Tuple[Rule, ...] = (
     ForkSafetyRule(),
     DtypeMixRule(),
     SwallowedFaultRule(),
+    LexsortRule(),
 )
 
 _RULES_BY_ID: Dict[str, Rule] = {rule.rule_id: rule for rule in RULES}

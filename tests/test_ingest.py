@@ -78,6 +78,76 @@ def _hits_by_loader(loader, path, errors, report):
     return store.get(store.days()[0]).hits
 
 
+#: Hit tokens of each length the digit columns and the scalar path see:
+#: 1-19 digits are read column by column, 20 and more by the scalar path.
+HIT_LENGTHS = (1, 2, 3, 9, 18, 19, 20, 21, 25)
+
+#: Bytes that are neither ASCII digits nor token separators: the
+#: neighbours of '0' and '9', a letter, NUL, DEL and a two-byte UTF-8
+#: character (which makes a 19-character token 20 bytes long).
+NON_DIGITS = ("/", ":", "a", "\x00", "\x7f", "é")
+
+
+def hit_token(length):
+    """A valid count of ``length`` digits (leading zeros past 19)."""
+    return "0" * max(length - 19, 0) + "9876543210987654321"[: min(length, 19)]
+
+
+def bad_hit_tokens(length):
+    """``hit_token(length)`` with each non-digit byte at each position."""
+    digits = hit_token(length)
+    return [
+        digits[:position] + byte + digits[position + 1 :]
+        for position in range(length)
+        for byte in NON_DIGITS
+    ]
+
+
+def hit_list(reader, path, errors="strict", report=None):
+    """The hits of a one-day log with distinct, ascending addresses."""
+    if reader == "dict":
+        return [h for _a, h in logfile.read_daily_log(path, errors, report)[1]]
+    return _hits_by_loader(reader, path, errors, report).tolist()
+
+
+READERS = ["arrays", "store", "dict"]
+
+
+@pytest.mark.parametrize("reader", READERS)
+class TestHitCountColumns:
+    """Counts of 1-25 digits, one row each, in one log."""
+
+    def test_every_length_parses(self, tmp_path, reader):
+        tokens = [hit_token(length) for length in range(1, 26)]
+        tokens += ["18446744073709551615", "0", "1" + "0" * 19, "7"]
+        lines = [f"::{row + 1:x} {token}" for row, token in enumerate(tokens)]
+        # No newline after the last count: its digits end the buffer.
+        path = _write(tmp_path / "hits.txt", "# day=1\n" + "\n".join(lines))
+        assert hit_list(reader, path) == [int(token) for token in tokens]
+
+    @pytest.mark.parametrize("length", HIT_LENGTHS)
+    def test_non_digit_at_each_position_strict(self, tmp_path, reader, length):
+        for token in bad_hit_tokens(length):
+            path = _write(
+                tmp_path / "bad.txt",
+                f"# day=1\n::1 5\n::2 {token}\n::3 {hit_token(length)}\n",
+            )
+            with pytest.raises(logfile.LogFormatError) as caught:
+                hit_list(reader, path)
+            assert str(caught.value) == f"{path}:3: bad hit count {token!r}"
+
+    def test_count_of_2_to_64_names_its_line(self, tmp_path, reader):
+        path = _write(
+            tmp_path / "big.txt",
+            "# day=1\n::1 18446744073709551615\n::2 18446744073709551616\n",
+        )
+        with pytest.raises(logfile.LogFormatError) as caught:
+            hit_list(reader, path)
+        assert str(caught.value) == (
+            f"{path}:3: hit count exceeds 64 bits: '18446744073709551616'"
+        )
+
+
 @pytest.mark.parametrize("loader", ["arrays", "store"])
 @pytest.mark.parametrize("errors", ["strict", "quarantine"])
 class TestLongHitCounts:

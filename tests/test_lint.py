@@ -328,6 +328,38 @@ class TestR007SwallowedFault:
         assert "Invariant:" in out and "quarantine" in out
 
 
+class TestR008Lexsort:
+    def test_np_lexsort_trips(self):
+        assert ids("order = np.lexsort((lo, hi))\n") == ["R008"]
+
+    def test_bare_and_aliased_lexsort_trip_in_core(self):
+        source = """
+            from numpy import lexsort
+            order = lexsort((lo, hi))
+            other = numpy.lexsort([b, a])
+        """
+        assert ids(source, path=CORE) == ["R008", "R008"]
+
+    def test_rule_is_scoped_to_src(self):
+        assert ids("order = np.lexsort((lo, hi))\n", path="perfbench/gen.py") == []
+
+    def test_address_ids_passes(self):
+        source = """
+            ids, count = store.address_ids(hi, lo)
+            order = np.argsort(values, kind="stable")
+        """
+        assert ids(source) == []
+
+    def test_inline_ignore_suppresses(self):
+        source = "order = np.lexsort((b, a))  # repro-lint: ignore[R008]\n"
+        assert ids(source) == []
+
+    def test_explain_points_at_address_ids(self, capsys):
+        assert main(["--explain", "R008"]) == 0
+        out = capsys.readouterr().out
+        assert "Invariant:" in out and "address_ids" in out and "1.0 s" in out
+
+
 class TestSuppression:
     def test_inline_ignore_suppresses_the_rule(self):
         assert ids("m = lo >> 24  # repro-lint: ignore[R006]\n") == []

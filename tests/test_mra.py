@@ -229,3 +229,18 @@ class TestCanonicalGuard:
 
         canonical = obstore.to_array([5, 6, 7])
         assert _as_address_array(canonical) is canonical
+
+    def test_shuffled_duplicates_match_sorted_set(self):
+        from repro.core.mra import _as_address_array
+
+        top = 2**128 - 1
+        shared_hi = p("2001:db8::")
+        values = [shared_hi + v for v in (0, 1, 2**63, 2**64 - 1, 7)]
+        values += [top, top, top - 1, (2**64 - 1) << 64, 0, shared_hi + 7, shared_hi]
+        raw = np.empty(len(values), dtype=obstore.ADDRESS_DTYPE)
+        raw["hi"] = [v >> 64 for v in values]
+        raw["lo"] = [v & (2**64 - 1) for v in values]
+        shuffled = raw[np.random.default_rng(5).permutation(raw.shape[0])]
+        result = _as_address_array(shuffled)
+        assert result.dtype == obstore.ADDRESS_DTYPE
+        assert obstore.from_array(result) == sorted(set(values))

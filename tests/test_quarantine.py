@@ -30,6 +30,7 @@ from repro.runtime.quarantine import (
     check_errors_mode,
     clip_excerpt,
 )
+from tests.test_ingest import HIT_LENGTHS, NON_DIGITS, hit_token
 
 JOBS = [1, 4]
 
@@ -317,6 +318,77 @@ class TestReaderQuarantine:
         assert strict[0] == relaxed[0]
         for a, b in zip(strict[1:], relaxed[1:]):
             np.testing.assert_array_equal(a, b)
+
+
+READERS = [read_daily_log, read_daily_log_arrays]
+
+
+@pytest.mark.parametrize("reader", READERS)
+class TestHitCountQuarantine:
+    """Each malformed count is one ``bad-hit-count`` record; the rest load."""
+
+    @pytest.mark.parametrize("length", HIT_LENGTHS)
+    def test_non_digit_at_each_position(self, tmp_path, reader, length):
+        digits = hit_token(length)
+        for position in range(length):
+            lines = ["# day=2", "::1 5"]
+            expected = []
+            for byte in NON_DIGITS:
+                token = digits[:position] + byte + digits[position + 1 :]
+                lines.append(f"::{len(lines):x} {token}")
+                expected.append(("bad-hit-count", len(lines), token))
+            lines.append(f"::{len(lines):x} {digits}")
+            path = _write(tmp_path / "day.txt", lines)
+            report = QuarantineReport()
+            day, hits = _day_and_hits(reader, path, report)
+            assert (day, hits) == (2, [5, int(digits)])
+            assert [(r.rule, r.line, r.excerpt) for r in report.records] == expected
+            assert report.line_totals[path] == len(NON_DIGITS) + 2
+
+    def test_uint64_boundary(self, tmp_path, reader):
+        path = _write(
+            tmp_path / "day.txt",
+            [
+                "# day=2",
+                "::1 18446744073709551615",
+                "::2 18446744073709551616",
+                "::3 1",
+            ],
+        )
+        report = QuarantineReport()
+        assert _day_and_hits(reader, path, report) == (2, [2**64 - 1, 1])
+        assert [(r.rule, r.line, r.excerpt) for r in report.records] == [
+            ("bad-hit-count", 3, "18446744073709551616")
+        ]
+
+    def test_strict_order_shape_then_address_then_count(self, tmp_path, reader):
+        # Strict mode names the first bad line shape, else the first bad
+        # address, else the first bad count by line, whichever path
+        # (digit columns or scalar) read that count.
+        long_bad = "1" * 25
+        lines = ["# day=2", f"::1 {long_bad}", "::2 9x", "zz::: 3", "::4 1 2", "::5 1"]
+        shape, address, count = "bad-line-shape", "bad-address", "bad-hit-count"
+        cases = [
+            (lines, 5, "expected 'address hits'", {shape: 1, address: 1, count: 2}),
+            (lines[:4] + lines[5:], 4, None, {address: 1, count: 2}),
+            (
+                lines[:3] + lines[5:],
+                2,
+                f"hit count exceeds 64 bits: {long_bad!r}",
+                {count: 2},
+            ),
+            (lines[:1] + lines[2:3] + lines[5:], 2, "bad hit count '9x'", {count: 1}),
+        ]
+        for case_lines, line, message, rules in cases:
+            path = _write(tmp_path / "day.txt", case_lines)
+            with pytest.raises(LogFormatError) as caught:
+                reader(path)
+            assert str(caught.value).startswith(f"{path}:{line}: ")
+            if message is not None:
+                assert str(caught.value) == f"{path}:{line}: {message}"
+            report = QuarantineReport()
+            _day_and_hits(reader, path, report)
+            assert report.by_rule() == rules
 
 
 @pytest.mark.parametrize("jobs", JOBS)

@@ -173,6 +173,98 @@ class TestUnionMany:
         assert obstore.from_array(union) == sorted(set().union(*days))
 
 
+TOP64 = 2**64 - 1
+
+#: A 64-bit half: an edge value, a random one, or one of two values a
+#: few rows share (so equal halves pair with unequal ones).
+_halves = st.sampled_from([0, 1, 2**63, TOP64]) | st.integers(0, TOP64) | st.sampled_from(
+    [0x2001_0DB8_0000_0000, 0x2001_0DB8_0000_0001]
+)
+
+
+def _columns(rows):
+    """``(hi, lo, hits)`` uint64 columns of ``(hi, lo, hits)`` tuples."""
+    return tuple(np.array([row[k] for row in rows], dtype=np.uint64) for k in range(3))
+
+
+def _dict_merge(rows):
+    """``merge_halves`` by a Python ``dict``: sums modulo 2**64, in
+    128-bit order."""
+    sums = {}
+    for hi, lo, hits in rows:
+        sums[(hi, lo)] = (sums.get((hi, lo), 0) + hits) % 2**64
+    return sorted(sums.items())
+
+
+class TestAddressIds:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_halves, _halves), min_size=1, max_size=60))
+    def test_dense_equal_and_ordered(self, pairs):
+        hi = np.array([pair[0] for pair in pairs], dtype=np.uint64)
+        lo = np.array([pair[1] for pair in pairs], dtype=np.uint64)
+        ids, count = obstore.address_ids(hi, lo)
+        assert ids.shape == hi.shape
+        assert count == len(set(pairs))
+        assert sorted(set(ids.tolist())) == list(range(count))
+        values = [h << 64 | l for h, l in pairs]
+        for i, value in enumerate(values):
+            for j, other in enumerate(values):
+                assert (ids[i] == ids[j]) == (value == other)
+                assert (ids[i] < ids[j]) == (value < other)
+
+    def test_hi_dominates_lo(self):
+        hi = np.array([1, 0, TOP64, 0], dtype=np.uint64)
+        lo = np.array([0, TOP64, 0, TOP64], dtype=np.uint64)
+        ids, count = obstore.address_ids(hi, lo)
+        assert (ids.tolist(), count) == ([1, 0, 2, 0], 3)
+
+
+class TestMergeHalvesDictOracle:
+    CASES = {
+        "empty": [],
+        "one_row": [(5, 6, 7)],
+        "all_equal": [(TOP64, 0, 3)] * 9,
+        "edge_values": [(TOP64, TOP64, 1), (0, 0, 2), (0, TOP64, 3), (TOP64, 0, 4)],
+        "shared_hi": [(9, 3, 1), (9, 1, 2), (9, TOP64, 3), (9, 0, 4), (9, 1, 5)],
+        "shared_lo": [(3, 9, 1), (1, 9, 2), (TOP64, 9, 3), (0, 9, 4), (3, 9, 5)],
+        "wrapping_sums": [(1, 2, TOP64), (1, 2, TOP64), (1, 2, 5), (0, 0, TOP64)],
+    }
+
+    @staticmethod
+    def _check(rows):
+        hi, lo, hits = _columns(rows)
+        got_hi, got_lo, got_hits = obstore.merge_halves(hi, lo, hits)
+        for column in (got_hi, got_lo, got_hits):
+            assert column.dtype == np.uint64
+        got = [
+            ((h, l), s)
+            for h, l, s in zip(got_hi.tolist(), got_lo.tolist(), got_hits.tolist())
+        ]
+        assert got == _dict_merge(rows)
+        bare_hi, bare_lo, no_hits = obstore.merge_halves(hi, lo)
+        assert no_hits is None
+        assert bare_hi.tolist() == got_hi.tolist()
+        assert bare_lo.tolist() == got_lo.tolist()
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_case(self, case):
+        self._check(self.CASES[case])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                _halves,
+                _halves,
+                st.sampled_from([0, 1, TOP64, 2**63]) | st.integers(0, TOP64),
+            ),
+            max_size=60,
+        )
+    )
+    def test_matches_dict_oracle(self, rows):
+        self._check(rows)
+
+
 class TestTruncation:
     def test_truncate_to_64(self):
         values = [p("2001:db8::1"), p("2001:db8::2"), p("2001:db9::1")]
