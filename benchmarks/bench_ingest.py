@@ -24,6 +24,15 @@ tokenize / addresses / hits / merge seconds, summed over days, and
 ``stage_minor_faults`` gives each stage's minor page faults
 (``getrusage`` ``ru_minflt``) over the same parse.
 
+``kernel_peak_bytes_per_row`` is the ``tracemalloc`` peak of four array
+kernels on 100k synthetic rows, in bytes per row (per input row for
+``union_many``, per adjacent pair for the LCP scan): ``address_ids``
+and ``merge_halves`` on a shuffled day, ``union_many`` over 7 canonical
+days and ``adjacent_common_prefix_lengths`` on a canonical day.  Both
+modes measure the same rows, and bytes per row do not depend on the
+machine's speed, so ``--quick`` compares them with the recorded run and
+exits 1 when a kernel exceeds its recorded value by more than 10%.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_ingest.py            # full: 30 days x 100k
@@ -45,21 +54,25 @@ import resource
 import sys
 import tempfile
 import time
+import tracemalloc
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-)
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(REPO, "src"))
 
+from repro.core.mra import adjacent_common_prefix_lengths  # noqa: E402
 from repro.data import logfile  # noqa: E402
 from repro.data.store import (  # noqa: E402
     ADDRESS_DTYPE,
     DailyObservations,
     ObservationStore,
+    address_ids,
+    halves_to_array,
     merge_halves,
     strictly_increasing,
+    union_many,
 )
 from repro.net import addr, batchparse  # noqa: E402
 
@@ -218,10 +231,11 @@ def _stage_split(paths: List[str]) -> Tuple[Dict[str, float], Dict[str, int]]:
     faults = dict.fromkeys(names, 0)
     for path in paths:
         with open(path, "rb") as handle:
-            raw = np.frombuffer(handle.read(), dtype=np.uint8)
+            data = handle.read()
+        raw = np.frombuffer(data, dtype=np.uint8)
         marks = [_mark()]
         day, a_starts, a_ends, h_starts, h_ends, lines = logfile._entry_spans(
-            raw, path, False, None
+            data, path, False, None
         )
         marks.append(_mark())
         hi, lo, bad = logfile._address_column(
@@ -244,6 +258,73 @@ def _stage_split(paths: List[str]) -> Tuple[Dict[str, float], Dict[str, int]]:
         ):
             raise AssertionError(f"stage split differs from the reader on {path}")
     return seconds, faults
+
+
+#: Rows of the kernel memory measurement, in every mode.
+KERNEL_ROWS = 100_000
+
+#: How far ``--quick`` lets a kernel exceed the bytes per row recorded in
+#: ``BENCH_ingest.json``.
+KERNEL_TOLERANCE = 0.10
+
+
+def _traced_peak(fn) -> int:
+    """``tracemalloc`` peak of ``fn()``, its result included."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak
+
+
+def _kernel_peaks() -> Dict[str, float]:
+    """Peak traced bytes per row of the four array kernels.
+
+    The inputs are built before tracing starts, so only each kernel's
+    temporaries and result count.  The day is shuffled with 1% of its
+    rows repeated, as in the shuffled logs.
+    """
+    hi, lo, hits = _synthetic_days(1, KERNEL_ROWS, seed=0)[0]
+    rng = np.random.default_rng(1)
+    distinct = KERNEL_ROWS - KERNEL_ROWS // 100
+    index = np.concatenate(
+        [np.arange(distinct), rng.choice(distinct, KERNEL_ROWS - distinct)]
+    )[rng.permutation(KERNEL_ROWS)]
+    hi, lo = hi[index], lo[index]
+    days = [
+        halves_to_array(day_hi, day_lo)
+        for day_hi, day_lo, _hits in _synthetic_days(7, KERNEL_ROWS // 7, seed=2)
+    ]
+    canonical = halves_to_array(hi, lo)
+    per_row = {
+        "address_ids": _traced_peak(lambda: address_ids(hi, lo)) / KERNEL_ROWS,
+        "merge_halves": _traced_peak(lambda: merge_halves(hi, lo, hits)) / KERNEL_ROWS,
+        "union_many": _traced_peak(lambda: union_many(days))
+        / sum(day.shape[0] for day in days),
+        "adjacent_common_prefix_lengths": _traced_peak(
+            lambda: adjacent_common_prefix_lengths(canonical)
+        )
+        / (canonical.shape[0] - 1),
+    }
+    return {name: round(value, 2) for name, value in per_row.items()}
+
+
+def _kernel_regressions(measured: Dict[str, float]) -> List[str]:
+    """Kernels whose bytes per row exceed the reference run's by more
+    than :data:`KERNEL_TOLERANCE` (or that it does not record), one line
+    each."""
+    with open(os.path.join(REPO, "BENCH_ingest.json"), "r", encoding="utf-8") as handle:
+        recorded = json.load(handle).get("kernel_peak_bytes_per_row", {})
+    allowed = 1 + KERNEL_TOLERANCE
+    return [
+        f"{name}: {value} B/row, recorded {recorded.get(name)} (x{allowed:g} allowed)"
+        for name, value in measured.items()
+        if name not in recorded or value > recorded[name] * allowed
+    ]
 
 
 def _timed(fn, repeats: int = 1) -> Tuple[float, object]:
@@ -358,6 +439,7 @@ def run_benchmark(
             for logs, split in stages.items()
         },
         "stage_minor_faults": stage_faults,
+        "kernel_peak_bytes_per_row": _kernel_peaks(),
         "speedups": {k: round(v, 2) for k, v in speedups.items()},
         "targets": {
             "warm_cache_vs_seed >= 10x": speedups.get("warm_cache_vs_seed"),
@@ -395,6 +477,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             handle.write(text + "\n")
     for label, value in report["speedups"].items():
         print(f"  {label}: {value:.2f}x", file=sys.stderr)
+    if args.quick:
+        regressions = _kernel_regressions(report["kernel_peak_bytes_per_row"])
+        for line in regressions:
+            print(f"kernel memory regression: {line}", file=sys.stderr)
+        if regressions:
+            return 1
     return 0
 
 

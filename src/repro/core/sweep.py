@@ -139,7 +139,8 @@ def grouped_spans(
     last = np.full(count, np.iinfo(np.int64).min, dtype=np.int64)
     np.minimum.at(first, ids, day)
     np.maximum.at(last, ids, day)
-    return addresses, first, last, np.bincount(ids, minlength=count).astype(np.int64)
+    days_seen = np.bincount(ids, minlength=count).astype(np.int64, copy=False)
+    return addresses, first, last, days_seen
 
 
 def _plan_chunks(ref_days: Sequence[int], chunk_days: int) -> List[List[int]]:
@@ -175,6 +176,20 @@ def _window_digests(
     return lengths.pop(), pairs
 
 
+def _window_ids(arrays: Sequence[np.ndarray]) -> Tuple[np.ndarray, int]:
+    """:func:`_address_ids` of the arrays' rows, concatenated.
+
+    The concatenated columns are temporaries of the ranking call, so
+    they are freed as soon as it returns.  A ``del`` inside the kernel
+    would not free them on CPython 3.10, which keeps a call's arguments
+    alive in the caller's frame until the call returns.
+    """
+    return _address_ids(
+        np.concatenate([array["hi"] for array in arrays]),
+        np.concatenate([array["lo"] for array in arrays]),
+    )
+
+
 def _chunk_ids(
     observations: ObservationStore,
     window_days: Sequence[int],
@@ -192,19 +207,13 @@ def _chunk_ids(
     cache_dir = observations.cache_dir
     tagged = _window_digests(observations, window_days)
     if cache_dir is None or tagged is None or rows > _INT32_MAX:
-        return _address_ids(
-            np.concatenate([array["hi"] for array in arrays]),
-            np.concatenate([array["lo"] for array in arrays]),
-        )
+        return _window_ids(arrays)
     key = daycache.ids_key(*tagged)
     cached = daycache.load_ids(cache_dir, key, rows)
     if cached is not None:
         return cached
-    ids, count = _address_ids(
-        np.concatenate([array["hi"] for array in arrays]),
-        np.concatenate([array["lo"] for array in arrays]),
-    )
-    ids = ids.astype(np.int32)
+    ids, count = _window_ids(arrays)
+    ids = ids.astype(np.int32, copy=False)  # the kernel's ids are int32 here
     try:
         daycache.store_ids(cache_dir, key, tagged[1], ids, count)
     except OSError:

@@ -195,13 +195,29 @@ _Entries = Tuple[
 
 
 def _token_spans(
-    raw: np.ndarray, newlines: np.ndarray
+    data: bytes, newlines: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized tokenizer: (starts, ends, line_index) of all tokens."""
-    padded = bytearray(b" ") * (raw.shape[0] + 2)
-    padded[1:-1] = raw.data
-    word = np.frombuffer(padded.translate(_WORD_TABLE), dtype=bool)
-    edges = np.flatnonzero(word[1:] != word[:-1])
+    """Vectorized tokenizer: (starts, ends, line_index) of all tokens.
+
+    ``data`` is translated to a token/separator mask once, without a
+    padded copy.  A token boundary lies at ``i`` when bytes ``i - 1``
+    and ``i`` differ in class; a buffer that starts or ends inside a
+    token gets its boundary at 0 or ``len(data)``.  Boundaries then
+    alternate start, end.  Each buffer-sized mask is dropped before the
+    next buffer-sized array is allocated.
+    """
+    n = len(data)
+    if n == 0:
+        no_tokens = np.empty(0, dtype=np.int64)
+        return no_tokens, no_tokens.copy(), no_tokens.copy()
+    word = np.frombuffer(data.translate(_WORD_TABLE), dtype=bool)
+    boundary = np.empty(n + 1, dtype=bool)
+    boundary[0] = word[0]
+    np.not_equal(word[1:], word[:-1], out=boundary[1:n])
+    boundary[n] = word[n - 1]
+    del word
+    edges = np.flatnonzero(boundary)
+    del boundary
     starts, ends = edges[0::2], edges[1::2]
     return starts, ends, np.searchsorted(newlines, starts)
 
@@ -214,7 +230,7 @@ def _line_text(raw: np.ndarray, newlines: np.ndarray, line_id: int) -> str:
 
 
 def _entry_spans(
-    raw: np.ndarray,
+    data: bytes,
     path: str,
     quarantine: bool,
     report: Optional[QuarantineReport],
@@ -226,8 +242,9 @@ def _entry_spans(
     dropped.  Newline positions are found once and shared by the line
     numbering, the header lookup and the quarantine excerpts.
     """
+    raw = np.frombuffer(data, dtype=np.uint8)
     newlines = np.flatnonzero(raw == _NEWLINE)
-    starts, ends, lines = _token_spans(raw, newlines)
+    starts, ends, lines = _token_spans(data, newlines)
     no_entries = np.empty(0, dtype=np.int64)
     if starts.shape[0] == 0:
         return (None,) + (no_entries,) * 5
@@ -383,7 +400,7 @@ def _parse_rows(
         report = QuarantineReport()
     raw = np.frombuffer(data, dtype=np.uint8)
     day, address_starts, address_ends, hit_starts, hit_ends, entry_lines = (
-        _entry_spans(raw, path, quarantine, report)
+        _entry_spans(data, path, quarantine, report)
     )
     if address_starts.shape[0] == 0:
         no_rows = np.empty(0, dtype=np.uint64)

@@ -57,18 +57,33 @@ def _pack_halves(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return array
 
 
+#: Most rows whose ranks and ids come back as int32 (every rank is below
+#: the row count); longer inputs get int64.  A private limit, not a knob.
+_INT32_ROWS = int(np.iinfo(np.int32).max)
+
+
 def _dense_rank(values: np.ndarray) -> Tuple[np.ndarray, int]:
     """0-based rank of each value among the distinct values, and their
-    count.  ``values`` must be non-empty."""
+    count.  ``values`` must be non-empty.  Ranks are int32 up to
+    :data:`_INT32_ROWS` values, else int64.
+
+    Each temporary is dropped as soon as it is dead: beside its input
+    and result the kernel holds at most 17 bytes a row (the argsort
+    order, the sorted copy and the run-start mask).
+    """
     order = np.argsort(values)
     ordered = values[order]
     fresh = np.empty(ordered.shape[0], dtype=bool)
     fresh[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
-    ranks_in_order = np.cumsum(fresh, dtype=np.int64) - 1
-    ranks = np.empty_like(ranks_in_order)
-    ranks[order] = ranks_in_order
-    return ranks, int(ranks_in_order[-1]) + 1
+    del ordered
+    rank_type = np.int32 if fresh.shape[0] <= _INT32_ROWS else np.int64
+    in_order = np.cumsum(fresh, dtype=rank_type)
+    del fresh
+    in_order -= 1
+    ranks = np.empty_like(in_order)
+    ranks[order] = in_order
+    return ranks, int(in_order[-1]) + 1
 
 
 def address_ids(hi: np.ndarray, lo: np.ndarray) -> Tuple[np.ndarray, int]:
@@ -80,13 +95,21 @@ def address_ids(hi: np.ndarray, lo: np.ndarray) -> Tuple[np.ndarray, int]:
     packed rank pair ``rank_hi * n_lo + rank_lo``.  Both ranks are below
     the row count ``n``, so the pair stays exact in int64 while
     ``n * n < 2**63``, i.e. below ~3.0e9 rows.  Equal pairs get equal
-    ids, and ids increase with the 128-bit value.
+    ids, and ids increase with the 128-bit value.  Ids are int32 below
+    2**31 rows, else int64.
+
+    Memory: beside its inputs the kernel peaks at 25 bytes a row, while
+    it ranks the packed pair (measured with ``tracemalloc``; the budget
+    in ``tests/test_kernel_memory.py`` is 33).  A caller that builds the
+    inputs only for this call should pass them as temporaries, so they
+    are freed when it returns.
     """
-    ids, _ = _dense_rank(hi)
+    pair = _dense_rank(hi)[0].astype(np.int64, copy=False)
     lo_rank, n_lo = _dense_rank(lo)
-    ids *= n_lo
-    ids += lo_rank
-    return _dense_rank(ids)
+    pair *= n_lo
+    pair += lo_rank
+    del lo_rank
+    return _dense_rank(pair)
 
 
 def merge_halves(
@@ -100,6 +123,11 @@ def merge_halves(
     summed per id with ``np.add.at`` into uint64, wrapping modulo 2**64
     like any uint64 sum.  Returns ``(hi, lo, hits)``; ``hits`` is None
     when none were given.
+
+    Memory: 28 bytes a row on a shuffled day with 1% repeated rows, the
+    ranking's temporaries and the merged columns included
+    (``tracemalloc``; the budget in ``tests/test_kernel_memory.py`` is
+    35).
     """
     if hi.shape[0] == 0:
         summed = None if hits is None else np.zeros(0, dtype=np.uint64)
@@ -173,21 +201,33 @@ def union_many(arrays: Sequence[np.ndarray]) -> np.ndarray:
     The arrays are copied one after another into big-endian ``(hi, lo)``
     rows, whose 16 bytes compare (as ``S16``, byte by byte) in the
     order of the 128-bit values.  A stable sort of that view merges the
-    sorted arrays as runs, and the first row of each run of equal rows
-    is kept.  (The view is only sorted, never read as scalars: numpy
-    strips trailing NUL bytes from an ``S16`` scalar.)
+    sorted arrays as runs.  The rows are then swapped to native order in
+    place and the first row of each run of equal rows is copied out, so
+    the result is the only copy made after the sort.  (The view is only
+    sorted, never read as scalars: numpy strips trailing NUL bytes from
+    an ``S16`` scalar.)
+
+    Memory: 16 bytes per input row for the rows, the sort's merge buffer
+    and one mask byte, then the kept rows; 33 bytes per input row at
+    most (``tracemalloc``; the budget in ``tests/test_kernel_memory.py``
+    is 42).
     """
-    keys = np.empty((sum(array.shape[0] for array in arrays), 2), dtype=">u8")
+    keys = np.empty(
+        sum(array.shape[0] for array in arrays),
+        dtype=ADDRESS_DTYPE.newbyteorder(">"),
+    )
     row = 0
     for array in arrays:
-        keys[row : row + array.shape[0], 0] = array["hi"]
-        keys[row : row + array.shape[0], 1] = array["lo"]
+        keys["hi"][row : row + array.shape[0]] = array["hi"]
+        keys["lo"][row : row + array.shape[0]] = array["lo"]
         row += array.shape[0]
-    keys.view("S16").sort(axis=0, kind="stable")
-    hi, lo = keys[:, 0], keys[:, 1]
+    keys.view("S16").sort(kind="stable")
+    rows = keys.byteswap(inplace=True).view(ADDRESS_DTYPE)
+    hi, lo = rows["hi"], rows["lo"]
     first = np.ones(hi.shape[0], dtype=bool)
-    first[1:] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])
-    return _pack_halves(hi[first], lo[first])
+    np.not_equal(hi[1:], hi[:-1], out=first[1:])
+    first[1:] |= lo[1:] != lo[:-1]
+    return rows[first]
 
 
 def strictly_increasing(hi: np.ndarray, lo: np.ndarray) -> bool:
